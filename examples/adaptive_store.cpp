@@ -189,6 +189,7 @@ int RunMemPressureDemo() {
   std::printf("\n--- observability report ---\n");
   std::printf("%s", obs::DecisionLogToText(obs::Decisions(),
                                            /*max_entries=*/6).c_str());
+  obs::Profiler().RefreshMetrics();
   std::printf("%s", obs::MetricsToText(obs::Metrics()).c_str());
   return 0;
 }
@@ -387,6 +388,7 @@ int main(int argc, char** argv) {
   std::printf("\n--- observability report ---\n");
   std::printf("%s", obs::DecisionLogToText(obs::Decisions(),
                                            /*max_entries=*/9).c_str());
+  obs::Profiler().RefreshMetrics();
   std::printf("%s", obs::MetricsToText(obs::Metrics()).c_str());
 
   if (trace_path != nullptr) {

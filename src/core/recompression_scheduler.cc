@@ -560,10 +560,11 @@ void RecompressionScheduler::FinishRebuild(size_t index,
         "backoff periods entered after rebuilds stopped reclaiming");
     backoffs->Increment();
   }
-  {
-    MutexLock drain_lock(&drain_mutex_);
-    --pending_rebuilds_;
-  }
+  // Notify under the lock: once a Stop() or destructor waiter can see zero
+  // pending rebuilds it may destroy the scheduler, condition variable
+  // included, so the broadcast must finish before the lock is released.
+  MutexLock drain_lock(&drain_mutex_);
+  --pending_rebuilds_;
   drain_mutex_.NotifyAll();
 }
 

@@ -62,17 +62,21 @@ void RunMorsels(const char* span_name, ThreadPool& pool, uint64_t items,
   pool.ParallelFor(0, items, grain, fn);
 }
 
-/// Bytes one vector-scanning driver touches when it visits `rows` rows:
-/// the proportional share of the bit-packed column vector. Feeds the
-/// per-scan kScan heat record the vector drivers make — they compare
-/// packed IDs without touching the dictionary and would otherwise be
-/// invisible to the workload profiler. The dictionary drivers (contains,
-/// map_dict) make no driver-level record: their ScanDictionary / Locate /
-/// ExtractId calls already record through the column.
-uint64_t ScanBytes(const StringColumn& column, uint64_t rows) {
-  return column.num_rows() == 0
-             ? 0
-             : column.VectorBytes() * rows / column.num_rows();
+/// Vector drivers: RunMorsels over `rows` rows, recorded as one kRowScan
+/// op on the column's heat slot with the proportional share of the packed
+/// vector as bytes. They compare packed IDs without touching the
+/// dictionary, so they stay out of the usage trace. The dictionary drivers
+/// (contains, map_dict) make no driver-level record: their ScanDictionary /
+/// Locate / ExtractId calls already record through the column.
+template <typename Fn>
+void RunRowMorsels(const char* span_name, ThreadPool& pool,
+                   const StringColumn& column, uint64_t rows, const Fn& fn) {
+  obs::ScopedColumnOp heat_op(rows == 0 ? nullptr : column.heat(),
+                              obs::ColumnOp::kRowScan, rows);
+  heat_op.AddBytes(column.num_rows() == 0
+                       ? 0
+                       : column.VectorBytes() * rows / column.num_rows());
+  RunMorsels(span_name, pool, rows, kMorselRows, fn);
 }
 
 /// Concatenates per-morsel row vectors in morsel order: the step that makes
@@ -107,14 +111,11 @@ std::vector<uint32_t> ParallelSelectRows(const StringColumn& column,
   const uint64_t n = column.num_rows();
   std::vector<std::vector<uint32_t>> parts(
       ThreadPool::NumChunks(n, kMorselRows));
-  obs::ScopedColumnOp heat_op(n == 0 ? nullptr : column.heat(),
-                              obs::ColumnOp::kScan, n);
-  heat_op.AddBytes(ScanBytes(column, n));
-  RunMorsels("engine.parallel.select", p, n, kMorselRows,
-             [&](uint64_t begin, uint64_t end) {
-               SelectRowsInto(column, range, begin, end,
-                              &parts[begin / kMorselRows]);
-             });
+  RunRowMorsels("engine.parallel.select", p, column, n,
+                [&](uint64_t begin, uint64_t end) {
+                  SelectRowsInto(column, range, begin, end,
+                                 &parts[begin / kMorselRows]);
+                });
   return ConcatInOrder(std::move(parts));
 }
 
@@ -125,14 +126,11 @@ std::vector<uint32_t> ParallelSelectRows(const StringColumn& column,
   const uint64_t n = column.num_rows();
   std::vector<std::vector<uint32_t>> parts(
       ThreadPool::NumChunks(n, kMorselRows));
-  obs::ScopedColumnOp heat_op(n == 0 ? nullptr : column.heat(),
-                              obs::ColumnOp::kScan, n);
-  heat_op.AddBytes(ScanBytes(column, n));
-  RunMorsels("engine.parallel.select", p, n, kMorselRows,
-             [&](uint64_t begin, uint64_t end) {
-               SelectRowsInto(column, id_flags, begin, end,
-                              &parts[begin / kMorselRows]);
-             });
+  RunRowMorsels("engine.parallel.select", p, column, n,
+                [&](uint64_t begin, uint64_t end) {
+                  SelectRowsInto(column, id_flags, begin, end,
+                                 &parts[begin / kMorselRows]);
+                });
   return ConcatInOrder(std::move(parts));
 }
 
@@ -145,14 +143,11 @@ std::vector<uint32_t> ParallelRefineRows(const StringColumn& column,
   const uint64_t n = rows.size();
   std::vector<std::vector<uint32_t>> parts(
       ThreadPool::NumChunks(n, kMorselRows));
-  obs::ScopedColumnOp heat_op(n == 0 ? nullptr : column.heat(),
-                              obs::ColumnOp::kScan, n);
-  heat_op.AddBytes(ScanBytes(column, n));
-  RunMorsels("engine.parallel.refine", p, n, kMorselRows,
-             [&](uint64_t begin, uint64_t end) {
-               RefineRowsInto(column, rows.subspan(begin, end - begin), range,
-                              &parts[begin / kMorselRows]);
-             });
+  RunRowMorsels("engine.parallel.refine", p, column, n,
+                [&](uint64_t begin, uint64_t end) {
+                  RefineRowsInto(column, rows.subspan(begin, end - begin),
+                                 range, &parts[begin / kMorselRows]);
+                });
   return ConcatInOrder(std::move(parts));
 }
 
@@ -162,14 +157,11 @@ uint64_t ParallelCountRows(const StringColumn& column, const IdRange& range,
   ThreadPool& p = EffectivePool(pool);
   const uint64_t n = column.num_rows();
   std::vector<uint64_t> partial(ThreadPool::NumChunks(n, kMorselRows), 0);
-  obs::ScopedColumnOp heat_op(n == 0 ? nullptr : column.heat(),
-                              obs::ColumnOp::kScan, n);
-  heat_op.AddBytes(ScanBytes(column, n));
-  RunMorsels("engine.parallel.count", p, n, kMorselRows,
-             [&](uint64_t begin, uint64_t end) {
-               partial[begin / kMorselRows] =
-                   CountRowsIn(column, range, begin, end);
-             });
+  RunRowMorsels("engine.parallel.count", p, column, n,
+                [&](uint64_t begin, uint64_t end) {
+                  partial[begin / kMorselRows] =
+                      CountRowsIn(column, range, begin, end);
+                });
   uint64_t count = 0;
   for (uint64_t c : partial) count += c;  // morsel order (integers: any order)
   return count;
@@ -240,16 +232,13 @@ std::vector<uint32_t> ParallelCountIds(const StringColumn& column,
   for (uint32_t id = 0; id < num_ids; ++id) {
     counts[id].store(0, std::memory_order_relaxed);
   }
-  obs::ScopedColumnOp heat_op(n == 0 ? nullptr : column.heat(),
-                              obs::ColumnOp::kScan, n);
-  heat_op.AddBytes(ScanBytes(column, n));
-  RunMorsels("engine.parallel.count_ids", p, n, kMorselRows,
-             [&](uint64_t begin, uint64_t end) {
-               for (uint64_t row = begin; row < end; ++row) {
-                 counts[column.GetValueId(row)].fetch_add(
-                     1, std::memory_order_relaxed);
-               }
-             });
+  RunRowMorsels("engine.parallel.count_ids", p, column, n,
+                [&](uint64_t begin, uint64_t end) {
+                  for (uint64_t row = begin; row < end; ++row) {
+                    counts[column.GetValueId(row)].fetch_add(
+                        1, std::memory_order_relaxed);
+                  }
+                });
   std::vector<uint32_t> result(num_ids);
   for (uint32_t id = 0; id < num_ids; ++id) {
     result[id] = counts[id].load(std::memory_order_relaxed);

@@ -1,8 +1,8 @@
 // Renders metrics and decision logs as human-readable text or JSON.
 //
-// The text forms are what the examples and benchmarks print; the JSON forms
-// are line-oriented machine food (one object for metrics, one array for the
-// decision log) for scraping into external dashboards.
+// The text forms are what the examples and benchmarks print; the decision
+// log's JSON form is machine food for external dashboards, and metrics are
+// scraped as Prometheus text.
 #ifndef ADICT_OBS_EXPORT_H_
 #define ADICT_OBS_EXPORT_H_
 
@@ -20,9 +20,6 @@ namespace obs {
 /// occupied buckets.
 std::string MetricsToText(const MetricsRegistry& registry);
 
-/// {"metrics":[{"name":...,"type":...,"unit":...,"value"|"count"...}, ...]}
-std::string MetricsToJson(const MetricsRegistry& registry);
-
 /// One block per decision, newest last: column, chosen format, predicted vs
 /// actual dictionary bytes, relative error, c, strategy. At most
 /// `max_entries` newest entries, then the cumulative accuracy summary.
@@ -32,9 +29,6 @@ std::string DecisionLogToText(
 
 /// {"decisions":[...],"accuracy":{...}} with the full candidate lists.
 std::string DecisionLogToJson(const DecisionLog& log);
-
-/// One line: N predictions, mean/max relative error, within-8% fraction.
-std::string PredictionAccuracyToText(const PredictionAccuracy& accuracy);
 
 /// Prometheus text exposition format (version 0.0.4): one `# HELP` and
 /// `# TYPE` line per metric followed by its samples. Histograms expose the

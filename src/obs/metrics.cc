@@ -83,18 +83,6 @@ std::span<const double> DefaultLatencyBucketsUs() {
   return kBounds;
 }
 
-std::string_view MetricTypeName(MetricType type) {
-  switch (type) {
-    case MetricType::kCounter:
-      return "counter";
-    case MetricType::kGauge:
-      return "gauge";
-    case MetricType::kHistogram:
-      return "histogram";
-  }
-  return "?";
-}
-
 MetricsRegistry::Entry* MetricsRegistry::GetOrCreate(
     std::string_view name, MetricType type, std::string_view unit,
     std::string_view help, std::string_view labels,

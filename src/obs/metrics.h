@@ -37,6 +37,13 @@ class Counter {
   void Increment(uint64_t n = 1) {
     value_.fetch_add(n, std::memory_order_relaxed);
   }
+  /// Raises the value to `n` if lower (a counter derived at render time).
+  void RaiseTo(uint64_t n) {
+    uint64_t current = value_.load(std::memory_order_relaxed);
+    while (current < n && !value_.compare_exchange_weak(
+                              current, n, std::memory_order_relaxed)) {
+    }
+  }
   uint64_t value() const { return value_.load(std::memory_order_relaxed); }
   void Reset() { value_.store(0, std::memory_order_relaxed); }
 
@@ -94,8 +101,6 @@ class Histogram {
 std::span<const double> DefaultLatencyBucketsUs();
 
 enum class MetricType { kCounter, kGauge, kHistogram };
-
-std::string_view MetricTypeName(MetricType type);
 
 /// Named, typed collection of metrics. Get* registers on first use and
 /// returns the same stable pointer on every later call; a name maps to

@@ -5,15 +5,17 @@
 //
 //   if (obs::Enabled()) {
 //     static obs::Counter* counter =
-//         obs::Metrics().GetCounter("dict.extract.count", "calls", "...");
+//         obs::Metrics().GetCounter("store.merge.count", "merges", "...");
 //     counter->Increment();
 //   }
 //
 // The function-local static resolves the metric once (registry mutex taken
 // exactly once per site); afterwards the cost is one relaxed load of the
 // enabled flag plus one relaxed increment. SetEnabled(false) turns every
-// site into a single branch. Tests reset values with ResetForTest(), which
-// keeps registrations (and thus cached pointers) intact.
+// site into a single branch; only the column access records
+// (workload_profiler.h) keep counting, because they are the usage trace.
+// Tests reset values with ResetForTest(), which keeps registrations (and
+// thus cached pointers) intact.
 #ifndef ADICT_OBS_OBS_H_
 #define ADICT_OBS_OBS_H_
 

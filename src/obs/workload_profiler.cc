@@ -80,6 +80,8 @@ std::string_view ColumnOpName(ColumnOp op) {
       return "scan";
     case ColumnOp::kMerge:
       return "merge";
+    case ColumnOp::kRowScan:
+      return "row_scan";
   }
   return "?";
 }
@@ -94,6 +96,7 @@ ColumnHeat::ColumnHeat(std::string name)
                                      "time-decayed operation heat of one "
                                      "column (refreshed at scrape time)")),
       latency_{Histogram(DefaultLatencyBucketsUs()),
+               Histogram(DefaultLatencyBucketsUs()),
                Histogram(DefaultLatencyBucketsUs()),
                Histogram(DefaultLatencyBucketsUs()),
                Histogram(DefaultLatencyBucketsUs())} {
@@ -111,15 +114,15 @@ void ColumnHeat::RecordLatency(ColumnOp op, double us,
 ColumnHeat::OpTotals ColumnHeat::Totals(ColumnOp op) const {
   const auto i = static_cast<size_t>(op);
   OpTotals totals;
-  totals.count = counts_[i].load(std::memory_order_relaxed);
-  totals.bytes = bytes_[i].load(std::memory_order_relaxed);
+  totals.count = counters_.counts[i].load(std::memory_order_relaxed);
+  totals.bytes = counters_.bytes[i].load(std::memory_order_relaxed);
   totals.total_us = total_us_[i].load(std::memory_order_relaxed);
   return totals;
 }
 
 uint64_t ColumnHeat::TotalOps() const {
   uint64_t total = 0;
-  for (const auto& count : counts_) {
+  for (const auto& count : counters_.counts) {
     total += count.load(std::memory_order_relaxed);
   }
   return total;
@@ -157,8 +160,9 @@ void ColumnHeat::DecayForTest(double seconds) {
 }
 
 void ColumnHeat::ResetValues() {
-  for (auto& count : counts_) count.store(0, std::memory_order_relaxed);
-  for (auto& bytes : bytes_) bytes.store(0, std::memory_order_relaxed);
+  counters_.resets.fetch_add(1, std::memory_order_relaxed);
+  for (auto& count : counters_.counts) count.store(0);
+  for (auto& bytes : counters_.bytes) bytes.store(0);
   for (auto& us : total_us_) us.store(0, std::memory_order_relaxed);
   for (auto& histogram : latency_) histogram.Reset();
   MutexLock lock(&decay_mutex_);
@@ -187,17 +191,26 @@ std::vector<const ColumnHeat*> WorkloadProfiler::Columns() const {
   return columns;  // std::map iterates in name order
 }
 
-std::vector<ColumnHeat*> WorkloadProfiler::MutableColumns() {
-  MutexLock lock(&mutex_);
-  std::vector<ColumnHeat*> columns;
-  columns.reserve(columns_.size());
-  for (auto& [name, slot] : columns_) columns.push_back(&slot);
-  return columns;
-}
-
-void WorkloadProfiler::RefreshHeatGauges() {
-  // DecayedHeat folds and publishes each slot's gauge.
-  for (ColumnHeat* slot : MutableColumns()) (void)slot->DecayedHeat();
+void WorkloadProfiler::RefreshMetrics() {
+  static Counter* extracts = Metrics().GetCounter(
+      "dict.extract.count", "calls",
+      "singleton dictionary extract calls on table-bound columns");
+  static Counter* locates = Metrics().GetCounter(
+      "dict.locate.count", "calls",
+      "dictionary locate calls on table-bound columns");
+  static Counter* scanned = Metrics().GetCounter(
+      "dict.scan.entries", "entries",
+      "entries read via dictionary scans on table-bound columns");
+  uint64_t extract_total = 0, locate_total = 0, scan_total = 0;
+  for (const ColumnHeat* slot : Columns()) {
+    (void)slot->DecayedHeat();  // folds and publishes the slot's gauge
+    extract_total += slot->Totals(ColumnOp::kExtract).count;
+    locate_total += slot->Totals(ColumnOp::kLocate).count;
+    scan_total += slot->Totals(ColumnOp::kScan).count;
+  }
+  extracts->RaiseTo(extract_total);
+  locates->RaiseTo(locate_total);
+  scanned->RaiseTo(scan_total);
 }
 
 void WorkloadProfiler::RecordQuery(QueryAttribution record) {
@@ -230,8 +243,8 @@ std::vector<SchedulerRankEntry> WorkloadProfiler::LatestSchedulerRanking()
 }
 
 void WorkloadProfiler::ResetValues() {
-  for (ColumnHeat* slot : MutableColumns()) slot->ResetValues();
   MutexLock lock(&mutex_);
+  for (auto& [name, slot] : columns_) slot.ResetValues();
   queries_.clear();
   total_queries_ = 0;
   ranking_.clear();
@@ -246,7 +259,7 @@ ScopedQueryProfile::ScopedQueryProfile(std::string_view query)
     : query_(query) {
   if (!Enabled()) return;
   active_ = true;
-  for (ColumnHeat* slot : Profiler().MutableColumns()) {
+  for (const ColumnHeat* slot : Profiler().Columns()) {
     SlotSnapshot snapshot;
     snapshot.slot = slot;
     for (int op = 0; op < kNumColumnOps; ++op) {
@@ -266,7 +279,7 @@ ScopedQueryProfile::~ScopedQueryProfile() {
                        .count();
   // Slots created after the constructor ran have a zero baseline; walk the
   // current slot list and look each one up in the snapshot.
-  for (ColumnHeat* slot : Profiler().MutableColumns()) {
+  for (const ColumnHeat* slot : Profiler().Columns()) {
     const SlotSnapshot* base = nullptr;
     for (const SlotSnapshot& snapshot : before_) {
       if (snapshot.slot == slot) {

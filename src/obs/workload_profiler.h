@@ -8,9 +8,9 @@
 // pressure: evict the *currently* cold dictionary first. The profiler keeps
 // one heat slot per column with
 //
-//   - relaxed-atomic counts and bytes per operation (extract / locate /
-//     scan / merge) — the hot path is a handful of relaxed adds, same
-//     budget as the metrics layer (metrics.h);
+//   - relaxed-atomic counts and bytes per operation (OpCounters): the one
+//     place a column access is counted. StringColumn's usage trace, the
+//     heat, /profile.json and the dict.* totals are all read from it;
 //   - a latency histogram per operation (Histogram::Quantile gives
 //     p50/p95/p99). Batch operations (dictionary scans, merges, morsel
 //     scans) time themselves exactly; singleton extracts/locates sample
@@ -22,9 +22,10 @@
 // Slots are created once (Table::AddStringColumn binds them by
 // "table.column" name) and never destroyed, so instrumentation sites cache
 // the raw pointer; a null slot disables every helper at the cost of one
-// branch. ScopedQueryProfile snapshots all slots around a query and pushes
-// the diff into a bounded ring — the per-query attribution served by
-// /profile.json (http_exporter.h).
+// branch. Same-named tables share their columns' slots (their usage traces
+// mix when both are read inside one trace window). ScopedQueryProfile
+// snapshots all slots around a query and pushes the diff into a bounded
+// ring — the per-query attribution served by /profile.json.
 #ifndef ADICT_OBS_WORKLOAD_PROFILER_H_
 #define ADICT_OBS_WORKLOAD_PROFILER_H_
 
@@ -45,11 +46,36 @@
 namespace adict {
 namespace obs {
 
-/// The dictionary operations the profiler distinguishes.
-enum class ColumnOp : int { kExtract = 0, kLocate = 1, kScan = 2, kMerge = 3 };
-inline constexpr int kNumColumnOps = 4;
+/// The column operations the profiler distinguishes. kScan counts the
+/// dictionary entries read by StringColumn::ScanDictionary; kRowScan counts
+/// the rows the morsel drivers visit, which compare packed value IDs and
+/// never touch the dictionary (so they stay out of the usage trace).
+enum class ColumnOp : int { kExtract, kLocate, kScan, kMerge, kRowScan };
+inline constexpr int kNumColumnOps = 5;
 
 std::string_view ColumnOpName(ColumnOp op);
+
+/// One column's access record: cumulative count and bytes per operation,
+/// read without a lock. Totals only go up, except in ColumnHeat::ResetValues
+/// (tests), which bumps `resets` so a reader holding a baseline can tell.
+struct OpCounters {
+  std::array<std::atomic<uint64_t>, kNumColumnOps> counts{};
+  std::array<std::atomic<uint64_t>, kNumColumnOps> bytes{};
+  std::atomic<uint64_t> resets{0};
+
+  /// Hot path: one or two relaxed adds. Returns the pre-add count of `op`
+  /// (the latency-sampling clock for singleton operations).
+  uint64_t Record(ColumnOp op, uint64_t count, uint64_t added_bytes) {
+    const auto i = static_cast<size_t>(op);
+    if (added_bytes != 0) {
+      bytes[i].fetch_add(added_bytes, std::memory_order_relaxed);
+    }
+    return counts[i].fetch_add(count, std::memory_order_relaxed);
+  }
+  uint64_t count(ColumnOp op) const {
+    return counts[static_cast<size_t>(op)].load(std::memory_order_relaxed);
+  }
+};
 
 /// One column's heat slot. Created by WorkloadProfiler::GetColumn, stable
 /// for the life of the process (never moved or destroyed).
@@ -72,13 +98,13 @@ class ColumnHeat {
 
   const std::string& name() const { return name_; }
 
-  /// Hot path: two relaxed adds. Returns the pre-add cumulative count of
-  /// `op` (the latency-sampling clock for singleton operations).
+  /// Hot path: see OpCounters::Record.
   uint64_t RecordOp(ColumnOp op, uint64_t count, uint64_t bytes) {
-    const auto i = static_cast<size_t>(op);
-    if (bytes != 0) bytes_[i].fetch_add(bytes, std::memory_order_relaxed);
-    return counts_[i].fetch_add(count, std::memory_order_relaxed);
+    return counters_.Record(op, count, bytes);
   }
+
+  /// The slot's access record, which bound StringColumns add into.
+  OpCounters& counters() { return counters_; }
 
   /// Records one latency observation. `represented_ops` scales the
   /// contribution to total_us (kLatencySamplePeriod for a sampled
@@ -103,6 +129,7 @@ class ColumnHeat {
   void DecayForTest(double seconds) ADICT_EXCLUDES(decay_mutex_);
 
   /// Zeroes counters, histograms, and heat; keeps the slot and its gauge.
+  /// For tests: the only way a slot's totals go down.
   void ResetValues() ADICT_EXCLUDES(decay_mutex_);
 
  private:
@@ -114,8 +141,7 @@ class ColumnHeat {
   const std::string name_;
   Gauge* heat_gauge_;  // "profiler.heat.<column>", refreshed on fold
 
-  std::array<std::atomic<uint64_t>, kNumColumnOps> counts_{};
-  std::array<std::atomic<uint64_t>, kNumColumnOps> bytes_{};
+  OpCounters counters_;
   std::array<std::atomic<double>, kNumColumnOps> total_us_{};
   std::array<Histogram, kNumColumnOps> latency_;
 
@@ -218,11 +244,11 @@ class WorkloadProfiler {
 
   /// Stable pointers to all slots, sorted by name.
   std::vector<const ColumnHeat*> Columns() const ADICT_EXCLUDES(mutex_);
-  std::vector<ColumnHeat*> MutableColumns() ADICT_EXCLUDES(mutex_);
 
-  /// Folds every slot's decayed heat into its "profiler.heat.<column>"
-  /// gauge (called by the HTTP exporter before a /metrics scrape).
-  void RefreshHeatGauges() ADICT_EXCLUDES(mutex_);
+  /// Folds every slot's heat into its "profiler.heat.<column>" gauge and
+  /// raises the dict.* access totals to the sums over the slots. Call
+  /// before rendering Metrics() (the HTTP exporter does, per scrape).
+  void RefreshMetrics() ADICT_EXCLUDES(mutex_);
 
   /// Half-life of the decayed heat, seconds. Applies on the next fold.
   double half_life_seconds() const {
@@ -274,7 +300,7 @@ class ScopedQueryProfile {
 
  private:
   struct SlotSnapshot {
-    ColumnHeat* slot;
+    const ColumnHeat* slot;
     std::array<ColumnHeat::OpTotals, kNumColumnOps> ops;
   };
 

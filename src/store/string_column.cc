@@ -74,6 +74,35 @@ void StringColumn::ChangeFormat(DictFormat format) {
   dict_ = BuildDictionary(format, values);
 }
 
+ColumnUsage StringColumn::TracedUsage(double lifetime_seconds) const {
+  const UsageMark now = Mark();
+  // A record zeroed since the baseline (obs::ResetForTest, between tests)
+  // counts from zero.
+  const UsageMark base =
+      now.resets == baseline_.resets ? baseline_ : UsageMark{};
+  ColumnUsage usage;
+  usage.num_extracts = now.extracts - base.extracts;
+  usage.num_locates = now.locates - base.locates;
+  usage.lifetime_seconds = lifetime_seconds;
+  usage.column_vector_bytes = VectorBytes();
+  return usage;
+}
+
+void StringColumn::BindHeat(obs::ColumnHeat* heat) {
+  heat_ = heat;
+  counters_ = heat != nullptr ? &heat->counters() : own_counters_.get();
+  baseline_ = Mark();
+}
+
+StringColumn::UsageMark StringColumn::Mark() const {
+  UsageMark mark;
+  mark.resets = counters_->resets.load(std::memory_order_relaxed);
+  mark.extracts = counters_->count(obs::ColumnOp::kExtract) +
+                  counters_->count(obs::ColumnOp::kScan);
+  mark.locates = counters_->count(obs::ColumnOp::kLocate);
+  return mark;
+}
+
 void StringColumn::Serialize(ByteWriter* out) const {
   std::vector<uint8_t> dict_bytes;
   SaveDictionary(*dict_, &dict_bytes);

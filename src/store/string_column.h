@@ -1,8 +1,10 @@
 // Domain-encoded, usage-instrumented string column of the read-optimized
 // store.
 //
-// Every dictionary access is counted, which is exactly the trace the
-// compression manager consumes: the paper's offline prototype instruments
+// Every dictionary access is recorded once, into the column's access record
+// (obs::OpCounters): its heat slot's when the column belongs to a Table, a
+// private one otherwise. The usage trace the compression manager consumes
+// is that record minus a baseline: the paper's offline prototype instruments
 // the store, runs a representative workload, and feeds the counts into the
 // format decision at the next rebuild. Because all dictionary formats are
 // order-preserving, the dictionary can be rebuilt in a different format
@@ -10,7 +12,7 @@
 #ifndef ADICT_STORE_STRING_COLUMN_H_
 #define ADICT_STORE_STRING_COLUMN_H_
 
-#include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <utility>
@@ -42,28 +44,10 @@ class StringColumn {
   /// using any accessor.
   StringColumn() = default;
 
-  // Move-only (the dictionary is uniquely owned). The usage counters are
-  // relaxed atomics — a read-only column is shared across scan threads and
-  // every const accessor counts its access — so moves copy their values
-  // explicitly; moving happens at build/merge time, before the column is
-  // shared, never concurrently with readers.
-  StringColumn(StringColumn&& other) noexcept
-      : dict_(std::move(other.dict_)),
-        vector_(std::move(other.vector_)),
-        heat_(other.heat_),
-        num_extracts_(
-            other.num_extracts_.load(std::memory_order_relaxed)),
-        num_locates_(other.num_locates_.load(std::memory_order_relaxed)) {}
-  StringColumn& operator=(StringColumn&& other) noexcept {
-    dict_ = std::move(other.dict_);
-    vector_ = std::move(other.vector_);
-    heat_ = other.heat_;
-    num_extracts_.store(other.num_extracts_.load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-    num_locates_.store(other.num_locates_.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-    return *this;
-  }
+  // Move-only: the dictionary and the private access record are uniquely
+  // owned. Moving happens at build/merge time, before the column is shared.
+  StringColumn(StringColumn&&) = default;
+  StringColumn& operator=(StringColumn&&) = default;
 
   /// Builds from raw row values with an explicit dictionary format.
   static StringColumn FromValues(std::span<const std::string> values,
@@ -89,20 +73,21 @@ class StringColumn {
 
   /// Value of `row` (counted as one extract).
   std::string GetValue(uint64_t row) const {
-    CountExtracts(1);
-    obs::ScopedColumnOp op(heat_, obs::ColumnOp::kExtract);
-    std::string value = dict_->Extract(vector_.Get(row));
-    op.AddBytes(value.size());
+    std::string value;
+    Record(obs::ColumnOp::kExtract, 1, [&] {
+      value = dict_->Extract(vector_.Get(row));
+      return value.size();
+    });
     return value;
   }
 
   /// Appends the value of `row` to `out` (counted as one extract).
   void GetValueInto(uint64_t row, std::string* out) const {
-    CountExtracts(1);
-    obs::ScopedColumnOp op(heat_, obs::ColumnOp::kExtract);
-    const size_t before = out->size();
-    dict_->ExtractInto(vector_.Get(row), out);
-    op.AddBytes(out->size() - before);
+    Record(obs::ColumnOp::kExtract, 1, [&] {
+      const size_t before = out->size();
+      dict_->ExtractInto(vector_.Get(row), out);
+      return out->size() - before;
+    });
   }
 
   /// Value ID of `row` (pure vector access, no dictionary cost).
@@ -110,23 +95,21 @@ class StringColumn {
 
   /// Dictionary lookup (counted as one locate).
   LocateResult Locate(std::string_view value) const {
-    num_locates_.fetch_add(1, std::memory_order_relaxed);
-    if (obs::Enabled()) {
-      static obs::Counter* locates = obs::Metrics().GetCounter(
-          "dict.locate.count", "calls", "dictionary locate calls");
-      locates->Increment();
-    }
-    obs::ScopedColumnOp op(heat_, obs::ColumnOp::kLocate);
-    op.AddBytes(value.size());
-    return dict_->Locate(value);
+    LocateResult result;
+    Record(obs::ColumnOp::kLocate, 1, [&] {
+      result = dict_->Locate(value);
+      return value.size();
+    });
+    return result;
   }
 
   /// Extracts the dictionary entry for a value ID (counted as one extract).
   std::string ExtractId(uint32_t id) const {
-    CountExtracts(1);
-    obs::ScopedColumnOp op(heat_, obs::ColumnOp::kExtract);
-    std::string value = dict_->Extract(id);
-    op.AddBytes(value.size());
+    std::string value;
+    Record(obs::ColumnOp::kExtract, 1, [&] {
+      value = dict_->Extract(id);
+      return value.size();
+    });
     return value;
   }
 
@@ -136,20 +119,14 @@ class StringColumn {
                       const std::function<void(uint32_t, std::string_view)>&
                           fn) const {
     ADICT_TRACE_SPAN("column.scan_dictionary");
-    num_extracts_.fetch_add(count, std::memory_order_relaxed);
-    if (obs::Enabled()) {
-      static obs::Counter* scanned = obs::Metrics().GetCounter(
-          "dict.scan.entries", "entries", "entries read via dictionary scans");
-      scanned->Increment(count);
-    }
-    // Bytes touched is approximated from the compressed dictionary size —
-    // summing entry lengths in the callback would tax every scanned entry.
-    obs::ScopedColumnOp op(count == 0 ? nullptr : heat_,
-                           obs::ColumnOp::kScan, count);
-    op.AddBytes(num_distinct() == 0
-                    ? 0
-                    : DictionaryBytes() * count / num_distinct());
-    dict_->Scan(first, count, fn);
+    Record(obs::ColumnOp::kScan, count, [&] {
+      dict_->Scan(first, count, fn);
+      // Bytes touched is approximated from the compressed dictionary size;
+      // summing entry lengths in the callback would tax every entry.
+      return num_distinct() == 0
+                 ? 0
+                 : DictionaryBytes() * count / num_distinct();
+    });
   }
 
   uint64_t num_rows() const { return vector_.size(); }
@@ -181,52 +158,62 @@ class StringColumn {
   void Serialize(ByteWriter* out) const;
   static StatusOr<StringColumn> Deserialize(ByteReader* in);
 
-  /// Usage counters since construction or the last ResetUsage(). The
-  /// lifetime and column vector size fields are filled in, the counters
-  /// reflect the traced accesses.
-  ColumnUsage TracedUsage(double lifetime_seconds) const {
-    ColumnUsage usage;
-    usage.num_extracts = num_extracts_.load(std::memory_order_relaxed);
-    usage.num_locates = num_locates_.load(std::memory_order_relaxed);
-    usage.lifetime_seconds = lifetime_seconds;
-    usage.column_vector_bytes = VectorBytes();
-    return usage;
-  }
-  void ResetUsage() {
-    num_extracts_.store(0, std::memory_order_relaxed);
-    num_locates_.store(0, std::memory_order_relaxed);
-  }
+  /// The usage trace: extracts (singleton extracts plus dictionary-scan
+  /// entries) and locates since this version was built or bound, or since
+  /// the last ResetUsage(), with the lifetime and column vector size filled
+  /// in. A table-bound column reads it from its heat slot, so accesses to
+  /// other versions or same-named tables inside the window count too.
+  ColumnUsage TracedUsage(double lifetime_seconds) const;
+  /// Restarts the trace; the access record itself keeps counting.
+  void ResetUsage() { baseline_ = Mark(); }
 
-  /// Binds the column to a workload-profiler heat slot (null detaches).
-  /// Not synchronized: bind before the column is shared across threads —
-  /// Table::AddStringColumn does, and publishes inherit the slot inside
-  /// the version mutex (VersionedStringColumn::Publish).
-  void BindHeat(obs::ColumnHeat* heat) { heat_ = heat; }
+  /// Binds the column to a workload-profiler heat slot (null: the private
+  /// record) and restarts the trace there. Not synchronized: bind before
+  /// the column is shared — Table::AddStringColumn does, and publishes
+  /// rebind inside the version mutex, so this takes atomic loads only.
+  void BindHeat(obs::ColumnHeat* heat);
   obs::ColumnHeat* heat() const { return heat_; }
 
  private:
-  /// Bumps both the per-column usage trace and the global extract counter.
-  void CountExtracts(uint64_t n) const {
-    num_extracts_.fetch_add(n, std::memory_order_relaxed);
-    if (obs::Enabled()) {
-      static obs::Counter* extracts = obs::Metrics().GetCounter(
-          "dict.extract.count", "calls", "dictionary extract calls");
-      extracts->Increment(n);
+  struct UsageMark {  // the record's trace totals at one instant
+    uint64_t extracts = 0;  // kExtract + kScan counts
+    uint64_t locates = 0;   // kLocate count
+    uint64_t resets = 0;    // OpCounters::resets
+  };
+  UsageMark Mark() const;
+
+  /// The one record every accessor makes: `count` ops of `op` plus the
+  /// bytes `access()` returns. With obs on and a slot bound, batches are
+  /// timed exactly and singletons every kLatencySamplePeriod-th call; with
+  /// obs off only the timing stops.
+  template <typename Access>
+  void Record(obs::ColumnOp op, uint64_t count, const Access& access) const {
+    const uint64_t before = counters_->Record(op, count, 0);
+    const uint64_t period = obs::ColumnHeat::kLatencySamplePeriod;
+    if (heat_ == nullptr || !obs::Enabled() || count == 0 ||
+        (count == 1 && before % period != 0)) {
+      counters_->Record(op, 0, access());
+      return;
     }
+    const auto start = std::chrono::steady_clock::now();
+    const uint64_t bytes = access();
+    heat_->RecordLatency(op,
+                         std::chrono::duration<double, std::micro>(
+                             std::chrono::steady_clock::now() - start)
+                             .count(),
+                         count == 1 ? period : 1);
+    counters_->Record(op, 0, bytes);
   }
 
   std::unique_ptr<Dictionary> dict_;
   ColumnVector vector_;
-  // Workload-profiler slot, or null when unbound. Written only before the
-  // column is shared (see BindHeat); the slot itself is internally
-  // synchronized, so const accessors may record through it concurrently.
-  obs::ColumnHeat* heat_ = nullptr;
-  // Usage trace; relaxed atomics so concurrent readers of a shared column
-  // can count their accesses without a data race (TSan-checked in
-  // tests/concurrency_test.cc). Counts may interleave with TracedUsage()
-  // reads — fine for a usage trace, which only feeds the format decision.
-  mutable std::atomic<uint64_t> num_extracts_{0};
-  mutable std::atomic<uint64_t> num_locates_{0};
+  // Written only before the column is shared (see BindHeat); the record is
+  // relaxed atomics, so readers of a shared column count without a race.
+  obs::ColumnHeat* heat_ = nullptr;  // null when unbound
+  std::unique_ptr<obs::OpCounters> own_counters_ =
+      std::make_unique<obs::OpCounters>();
+  obs::OpCounters* counters_ = own_counters_.get();  // slot's or own
+  UsageMark baseline_;
 };
 
 /// Versioned holder of one read-optimized column: the snapshot-read side of
@@ -270,9 +257,10 @@ class VersionedStringColumn {
     uint64_t epoch;
     {
       MutexLock lock(&mutex_);
-      // The heat slot follows the column across rebuilds and merges: bind
-      // before the swap, while no reader can hold the new version yet.
-      if (version->heat() == nullptr) version->BindHeat(current_->heat());
+      // The heat slot follows the column across rebuilds and merges. Binding
+      // before the swap, while no reader can hold the new version yet, also
+      // starts the new version's usage trace at zero.
+      version->BindHeat(version->heat() ? version->heat() : current_->heat());
       current_ = std::move(version);
       epoch = epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
     }
@@ -304,7 +292,7 @@ class VersionedStringColumn {
       if (epoch_.load(std::memory_order_acquire) != expected_epoch) {
         return false;
       }
-      if (version->heat() == nullptr) version->BindHeat(current_->heat());
+      version->BindHeat(version->heat() ? version->heat() : current_->heat());
       current_ = std::move(version);
       epoch = epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
     }

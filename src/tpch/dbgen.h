@@ -50,7 +50,7 @@ struct TpchDatabase {
   /// Rebuilds every string dictionary in `format` (a fixed-format
   /// configuration in the paper's sense).
   void ApplyFormat(DictFormat format);
-  /// Resets the traced usage counters of every string column.
+  /// Restarts the usage trace of every string column (ResetUsage).
   void ResetUsage();
 };
 

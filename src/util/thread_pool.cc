@@ -79,6 +79,9 @@ void ThreadPool::Submit(std::function<void()> task) {
     workers_[index]->tasks.push_back(std::move(task));
   }
   queued_.fetch_add(1, std::memory_order_release);
+  // Empty critical section, as in ~ThreadPool: a worker that found nothing
+  // to pop and is about to wait must observe this notify.
+  { MutexLock lock(&wake_mutex_); }
   wake_mutex_.NotifyOne();
 }
 

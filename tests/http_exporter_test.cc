@@ -310,6 +310,59 @@ TEST_F(HttpExporterTest, MetricsRefreshesHeatGaugesAtScrapeTime) {
   exporter.Stop();
 }
 
+// The dict.* totals on /metrics are summed over the heat slots at scrape
+// time: the columns record each access once, into their slot.
+uint64_t ScrapedCounter(const std::string& body, const std::string& name) {
+  const std::string prefix = "\n" + name + " ";
+  const size_t at = body.find(prefix);
+  EXPECT_NE(at, std::string::npos) << name;
+  if (at == std::string::npos) return 0;
+  return std::stoull(body.substr(at + prefix.size()));
+}
+
+TEST_F(HttpExporterTest, DictTotalsAreTheSumOfTheSlots) {
+  Table table("totals");
+  std::vector<std::string> values;
+  for (int i = 0; i < 40; ++i) values.push_back("v" + std::to_string(i % 10));
+  table.AddStringColumn("a", StringColumn::FromValues(values));
+  table.AddStringColumn("b", StringColumn::FromValues(values));
+  const StringColumn& a = table.strings("a");
+  const StringColumn& b = table.strings("b");
+  for (uint64_t row = 0; row < 7; ++row) (void)a.GetValue(row);
+  (void)b.ExtractId(3);
+  std::string out;
+  b.GetValueInto(5, &out);
+  (void)a.Locate("v3");
+  (void)b.Locate("v4");
+  (void)b.Locate("missing");
+  b.ScanDictionary(0, 6, [](uint32_t, std::string_view) {});
+  // An unbound column has no slot and stays out of the totals.
+  const StringColumn loose = StringColumn::FromValues(values);
+  (void)loose.GetValue(0);
+  (void)loose.Locate("v1");
+
+  uint64_t slot_extracts = 0, slot_locates = 0;
+  for (const obs::ColumnHeat* slot : obs::Profiler().Columns()) {
+    slot_extracts += slot->Totals(obs::ColumnOp::kExtract).count;
+    slot_locates += slot->Totals(obs::ColumnOp::kLocate).count;
+  }
+  EXPECT_EQ(slot_extracts, 9u);
+  EXPECT_EQ(slot_locates, 3u);
+
+  obs::HttpExporter exporter;
+  ASSERT_TRUE(exporter.Start().ok());
+  std::string body = Fetch(exporter.port(), "GET", "/metrics").body;
+  EXPECT_EQ(ScrapedCounter(body, "dict_extract_count"), slot_extracts);
+  EXPECT_EQ(ScrapedCounter(body, "dict_locate_count"), slot_locates);
+  EXPECT_EQ(ScrapedCounter(body, "dict_scan_entries"), 6u);
+
+  // Later accesses raise the totals on the next scrape.
+  (void)a.GetValue(0);
+  body = Fetch(exporter.port(), "GET", "/metrics").body;
+  EXPECT_EQ(ScrapedCounter(body, "dict_extract_count"), slot_extracts + 1);
+  exporter.Stop();
+}
+
 TEST_F(HttpExporterTest, JsonEndpointsServeValidJson) {
   // Put something into each source so the bodies are not trivially empty.
   Table table("http");

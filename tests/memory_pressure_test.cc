@@ -615,6 +615,28 @@ TEST_F(MemoryPressureTest, RebuildsRaceSnapshotScans) {
   scheduler.Stop();
 }
 
+// Regression: FinishRebuild notified the drain waiters after releasing the
+// drain lock, so a destructor could see zero pending rebuilds, return and
+// free the condition variable while the pool thread was still broadcasting
+// on it. Each round destroys the scheduler with its rebuild in flight.
+TEST_F(MemoryPressureTest, DestroyingWithARebuildInFlightIsSafe) {
+  constexpr int kRounds = 40;
+  for (int round = 0; round < kRounds; ++round) {
+    Table table = MakeFatTable();
+    CompressionManager manager;
+    RecompressionScheduler::Options options;  // async: rebuilds on the pool
+    options.smoothing = 1.0;
+    auto scheduler =
+        std::make_unique<RecompressionScheduler>(&table, &manager, options);
+    scheduler->OnSample(Sample(98));  // critical: one rebuild, on the pool
+    EXPECT_EQ(scheduler->level(), PressureLevel::kCritical);
+    // Drains the rebuild, then frees the scheduler. A rebuild that Stop()
+    // catches before its decision is abandoned, which also ends in
+    // FinishRebuild, so every round races the notify against the free.
+    scheduler.reset();
+  }
+}
+
 TEST_F(MemoryPressureTest, ThreadedSamplerAsyncRebuildsAreSafe) {
   Table table = MakeFatTable();
   CompressionManager manager;

@@ -6,12 +6,16 @@
 #include <vector>
 
 #include "datasets/generators.h"
+#include "engine/parallel.h"
+#include "obs/obs.h"
+#include "obs/workload_profiler.h"
 #include "store/column_vector.h"
 #include "store/delta.h"
 #include "store/string_column.h"
 #include "store/table.h"
 #include "util/date.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace adict {
 namespace {
@@ -20,7 +24,8 @@ TEST(ColumnVector, PacksAtMinimalWidth) {
   const std::vector<uint32_t> ids = {0, 1, 2, 3};
   EXPECT_EQ(ColumnVector(ids, 4).bits_per_value(), 2);
   EXPECT_EQ(ColumnVector(ids, 5).bits_per_value(), 3);
-  EXPECT_EQ(ColumnVector(ids, 2).bits_per_value(), 1);
+  const std::vector<uint32_t> binary = {0, 1, 1, 0};  // ids < num_distinct
+  EXPECT_EQ(ColumnVector(binary, 2).bits_per_value(), 1);
   const std::vector<uint32_t> zero = {0, 0};
   EXPECT_EQ(ColumnVector(zero, 1).bits_per_value(), 1);
 }
@@ -105,6 +110,128 @@ TEST(StringColumn, ResetUsageClearsCounters) {
   (void)column.GetValue(0);
   const_cast<StringColumn&>(column).ResetUsage();
   EXPECT_EQ(column.TracedUsage(1.0).num_extracts, 0u);
+}
+
+// -- One access record: the trace and the heat slot read the same counts ---
+
+std::vector<std::string> TraceValues() {
+  return {"delta", "alpha", "charlie", "bravo", "alpha", "delta", "echo",
+          "bravo"};
+}
+
+TEST(StringColumn, BoundTraceCountsDictionaryAccessesNotRowScans) {
+  obs::SetEnabled(true);
+  obs::ResetForTest();  // fresh slots, also under --gtest_repeat
+  Table table("trace_bound");
+  table.AddStringColumn("c", StringColumn::FromValues(TraceValues()));
+  StringColumn& column = table.strings("c");
+  (void)column.GetValue(0);  // before the reset: not traced
+  column.ResetUsage();
+
+  (void)column.GetValue(1);
+  std::string out;
+  column.GetValueInto(2, &out);
+  (void)column.ExtractId(0);
+  column.ScanDictionary(1, 3, [](uint32_t, std::string_view) {});
+  (void)column.Locate("bravo");
+  (void)column.Locate("zulu");
+  const ColumnUsage traced = column.TracedUsage(1.0);
+  EXPECT_EQ(traced.num_extracts, 3u + 3u);  // singletons + scan entries
+  EXPECT_EQ(traced.num_locates, 2u);
+
+  // Morsel-driver row scans reach the slot as kRowScan, not the trace.
+  ThreadPool pool(2);
+  const IdRange range{0, 2};
+  (void)ParallelSelectRows(column, range, &pool);
+  (void)ParallelCountRows(column, range, &pool);
+  const ColumnUsage after = column.TracedUsage(1.0);
+  EXPECT_EQ(after.num_extracts, traced.num_extracts);
+  EXPECT_EQ(after.num_locates, traced.num_locates);
+  EXPECT_EQ(column.heat()->Totals(obs::ColumnOp::kRowScan).count,
+            2 * column.num_rows());
+  EXPECT_EQ(column.heat()->Totals(obs::ColumnOp::kExtract).count, 4u);
+  EXPECT_EQ(column.heat()->Totals(obs::ColumnOp::kScan).count, 3u);
+}
+
+TEST(StringColumn, PublishedVersionTraceStartsAtZeroWhileSlotTotalsRise) {
+  obs::SetEnabled(true);
+  obs::ResetForTest();  // fresh slots, also under --gtest_repeat
+  Table table("trace_publish");
+  table.AddStringColumn("c", StringColumn::FromValues(TraceValues()));
+  VersionedStringColumn& versioned = table.string_column(0);
+  obs::ColumnHeat* slot = versioned.Snapshot()->heat();
+  ASSERT_NE(slot, nullptr);
+  const auto extracts = [slot] {
+    return slot->Totals(obs::ColumnOp::kExtract).count;
+  };
+
+  (void)versioned.Snapshot()->GetValue(0);
+  (void)versioned.Snapshot()->Locate("alpha");
+  versioned.current().ResetUsage();
+  EXPECT_EQ(extracts(), 1u);  // a reset restarts the trace, not the slot
+  EXPECT_EQ(versioned.Snapshot()->TracedUsage(1.0).num_extracts, 0u);
+
+  // Publish: the new version inherits the slot and starts its trace at 0.
+  versioned.Publish(
+      StringColumn::FromValues(TraceValues(), DictFormat::kArray));
+  std::shared_ptr<const StringColumn> next = versioned.Snapshot();
+  EXPECT_EQ(next->heat(), slot);
+  EXPECT_EQ(next->TracedUsage(1.0).num_extracts, 0u);
+  EXPECT_EQ(next->TracedUsage(1.0).num_locates, 0u);
+  EXPECT_EQ(extracts(), 1u);
+  (void)next->GetValue(1);
+  EXPECT_EQ(next->TracedUsage(1.0).num_extracts, 1u);
+  EXPECT_EQ(extracts(), 2u);
+
+  // A merge output is bound before it is published; accesses made between
+  // the merge and the publish are not part of the new version's trace.
+  DeltaColumn delta;
+  delta.Append("foxtrot");
+  StringColumn merged = MergeDelta(*next, delta, DictFormat::kFcBlock);
+  EXPECT_EQ(merged.heat(), slot);
+  (void)merged.GetValue(0);
+  ASSERT_TRUE(versioned.PublishIfEpoch(std::move(merged), versioned.epoch()));
+  next = versioned.Snapshot();
+  EXPECT_EQ(next->TracedUsage(1.0).num_extracts, 0u);
+  EXPECT_EQ(extracts(), 3u);
+  (void)next->Locate("foxtrot");
+  EXPECT_EQ(next->TracedUsage(1.0).num_locates, 1u);
+  EXPECT_EQ(slot->Totals(obs::ColumnOp::kLocate).count, 2u);
+}
+
+TEST(StringColumn, TraceCountsWithObservabilityOff) {
+  obs::SetEnabled(true);
+  obs::ResetForTest();  // fresh slots, also under --gtest_repeat
+  Table table("trace_obs_off");
+  table.AddStringColumn("c", StringColumn::FromValues(TraceValues()));
+  StringColumn& column = table.strings("c");
+  const obs::ColumnHeat* slot = column.heat();
+  const auto observations = [slot] {
+    uint64_t total = 0;
+    for (int op = 0; op < obs::kNumColumnOps; ++op) {
+      total += slot->latency(static_cast<obs::ColumnOp>(op)).count();
+    }
+    return total;
+  };
+  const uint64_t observed_before = observations();
+
+  obs::SetEnabled(false);
+  column.ResetUsage();
+  // Two sample periods: with obs on, calls 0 and 64 would be timed.
+  constexpr uint64_t kCalls = 2 * obs::ColumnHeat::kLatencySamplePeriod;
+  for (uint64_t i = 0; i < kCalls; ++i) {
+    (void)column.GetValue(i % column.num_rows());
+  }
+  column.ScanDictionary(0, column.num_distinct(),
+                        [](uint32_t, std::string_view) {});
+  (void)column.Locate("echo");
+  obs::SetEnabled(true);
+
+  const ColumnUsage usage = column.TracedUsage(1.0);
+  EXPECT_EQ(usage.num_extracts, kCalls + column.num_distinct());
+  EXPECT_EQ(usage.num_locates, 1u);
+  EXPECT_EQ(slot->Totals(obs::ColumnOp::kExtract).count, kCalls);
+  EXPECT_EQ(observations(), observed_before);
 }
 
 TEST(StringColumn, MaterializeDictionaryReturnsSortedValues) {
