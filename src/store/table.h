@@ -34,6 +34,7 @@ class Table {
     string_index_[name] = string_columns_.size();
     string_columns_.push_back(
         std::make_unique<VersionedStringColumn>(std::move(column)));
+    string_column_names_.push_back(name);
     column_names_.push_back(name);
   }
   void AddInt64Column(const std::string& name, std::vector<int64_t> values) {
@@ -56,9 +57,10 @@ class Table {
   }
 
   // Single-writer-phase references into the current version of a column
-  // (load, reconfiguration, and the single-threaded query paths). Valid
-  // until the column's next Publish; concurrent readers racing a merge must
-  // use SnapshotStrings() instead.
+  // (load, reconfiguration, benchmarks and tests that own the table). Valid
+  // until the column's next Publish. Anything that may run while a column
+  // is published, every query plan and the server included, must use
+  // SnapshotStrings() instead.
   const StringColumn& strings(const std::string& name) const {
     return string_columns_[IndexOf(string_index_, name)]->current();
   }
@@ -117,20 +119,18 @@ class Table {
   }
   /// Name of string column `i`, parallel to string_column(i).
   const std::string& string_column_name(size_t i) const {
-    for (const auto& [name, index] : string_index_) {
-      if (index == i) return name;
-    }
-    ADICT_CHECK_MSG(false, "string column index out of range");
-    return name_;
+    return string_column_names_[i];
   }
 
   const std::string& name() const { return name_; }
   uint64_t num_rows() const { return num_rows_; }
 
+  /// Safe to call while columns are published: each string column is
+  /// read through a snapshot.
   size_t MemoryBytes() const {
     size_t bytes = 0;
     for (const auto& col : string_columns_) {
-      bytes += col->current().MemoryBytes();
+      bytes += col->Snapshot()->MemoryBytes();
     }
     for (const auto& col : int64_columns_) bytes += col.size() * sizeof(int64_t);
     for (const auto& col : double_columns_) bytes += col.size() * sizeof(double);
@@ -160,6 +160,7 @@ class Table {
   // unique_ptr: a VersionedStringColumn owns a Mutex and cannot move, but
   // the Table must stay movable.
   std::vector<std::unique_ptr<VersionedStringColumn>> string_columns_;
+  std::vector<std::string> string_column_names_;  // parallel to the above
   std::vector<std::vector<int64_t>> int64_columns_;
   std::vector<std::vector<double>> double_columns_;
   std::vector<std::vector<int32_t>> date_columns_;

@@ -5,10 +5,17 @@
 // at every parallelism — per-morsel partial aggregates combined in morsel
 // order — so their results are bit-identical whether ADICT_THREADS is 1 or
 // 64 (morsel boundaries depend only on the row count and the grain).
+//
+// Every query pins each string column it reads once, at its top
+// (PinnedColumn, tpch/query_helpers.h), not through Table::strings(): a
+// query may race a concurrent publish (a pressure-triggered format rebuild,
+// core/recompression_scheduler.h, or a delta merge), and a reference into
+// the current version dangles at the next publish. The pins keep the whole
+// query on one bit-identical version of each column, and the row loops
+// touch no name lookup and no version mutex.
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -25,16 +32,8 @@ namespace tpch_internal {
 // Filter: l_shipdate <= '1998-12-01' - 90 days. Group: returnflag, linestatus.
 QueryResult Q1(const TpchDatabase& db) {
   const Table& l = db.lineitem;
-  // Pinned snapshots, not current() references: Q1 may race a concurrent
-  // pressure-triggered format rebuild (core/recompression_scheduler.h), and
-  // a reference into the current version dangles at the next publish. The
-  // snapshot keeps the whole query on one bit-identical version.
-  const std::shared_ptr<const StringColumn> flag_snapshot =
-      l.SnapshotStrings("L_RETURNFLAG");
-  const std::shared_ptr<const StringColumn> status_snapshot =
-      l.SnapshotStrings("L_LINESTATUS");
-  const StringColumn& flag = *flag_snapshot;
-  const StringColumn& status = *status_snapshot;
+  const PinnedColumn flag(l, "L_RETURNFLAG");
+  const PinnedColumn status(l, "L_LINESTATUS");
   const auto& shipdate = l.dates("L_SHIPDATE");
   const auto& qty = l.doubles("L_QUANTITY");
   const auto& price = l.doubles("L_EXTENDEDPRICE");
@@ -58,7 +57,7 @@ QueryResult Q1(const TpchDatabase& db) {
         for (uint64_t row = begin; row < end; ++row) {
           if (shipdate[row] > cutoff) continue;
           Agg& g =
-              local[GroupKey(flag.GetValueId(row), status.GetValueId(row))];
+              local[GroupKey(flag->GetValueId(row), status->GetValueId(row))];
           g.sum_qty += qty[row];
           g.sum_base += price[row];
           g.sum_disc_price += price[row] * (1 - disc[row]);
@@ -87,7 +86,7 @@ QueryResult Q1(const TpchDatabase& db) {
   for (const auto& [key, g] : groups) {
     const uint32_t flag_id = static_cast<uint32_t>(key >> 42);
     const uint32_t status_id = static_cast<uint32_t>((key >> 21) & 0x1fffff);
-    result.AddRow({flag.ExtractId(flag_id), status.ExtractId(status_id),
+    result.AddRow({flag->ExtractId(flag_id), status->ExtractId(status_id),
                    Cell(g.sum_qty), Cell(g.sum_base), Cell(g.sum_disc_price),
                    Cell(g.sum_charge), Cell(g.sum_qty / g.count),
                    Cell(g.sum_base / g.count), Cell(g.sum_disc / g.count),
@@ -99,37 +98,47 @@ QueryResult Q1(const TpchDatabase& db) {
 // Q2: minimum cost supplier. size = 15, type LIKE '%BRASS', region EUROPE.
 QueryResult Q2(const TpchDatabase& db) {
   const Table& ps = db.partsupp;
-  const StringColumn& ps_part = ps.strings("PS_PARTKEY");
-  const StringColumn& ps_supp = ps.strings("PS_SUPPKEY");
+  const Table& part = db.part;
+  const Table& supp = db.supplier;
+  const Table& nation = db.nation;
+  const PinnedColumn ps_partkey(ps, "PS_PARTKEY");
+  const PinnedColumn ps_suppkey(ps, "PS_SUPPKEY");
+  const PinnedColumn p_partkey(part, "P_PARTKEY");
+  const PinnedColumn p_type(part, "P_TYPE");
+  const PinnedColumn p_mfgr(part, "P_MFGR");
+  const PinnedColumn s_suppkey(supp, "S_SUPPKEY");
+  const PinnedColumn s_nationkey(supp, "S_NATIONKEY");
+  const PinnedColumn s_name(supp, "S_NAME");
+  const PinnedColumn s_address(supp, "S_ADDRESS");
+  const PinnedColumn s_phone(supp, "S_PHONE");
+  const PinnedColumn s_comment(supp, "S_COMMENT");
+  const PinnedColumn n_nationkey(nation, "N_NATIONKEY");
+  const PinnedColumn n_regionkey(nation, "N_REGIONKEY");
+  const PinnedColumn n_name(nation, "N_NAME");
+  const PinnedColumn r_name(db.region, "R_NAME");
+  const PinnedColumn r_regionkey(db.region, "R_REGIONKEY");
   const auto& ps_cost = ps.doubles("PS_SUPPLYCOST");
 
   // European nations: nation rows whose region key is EUROPE's key.
-  const Table& nation = db.nation;
-  const IdRange europe = EqIds(db.region.strings("R_NAME"), "EUROPE");
-  std::vector<uint32_t> europe_key_id(1, kNoMatch);
+  const IdRange europe = EqIds(r_name, "EUROPE");
   std::string europe_region_key;
   if (!europe.empty()) {
-    const IdIndex region_index(db.region.strings("R_NAME"));
+    const IdIndex region_index(r_name);
     const uint32_t region_row = region_index.UniqueRow(europe.begin);
-    europe_region_key = db.region.strings("R_REGIONKEY").GetValue(region_row);
+    europe_region_key = r_regionkey->GetValue(region_row);
   }
-  const IdRange europe_nk =
-      EqIds(nation.strings("N_REGIONKEY"), europe_region_key);
+  const IdRange europe_nk = EqIds(n_regionkey, europe_region_key);
   std::vector<bool> nation_in_europe(nation.num_rows(), false);
   for (uint64_t row = 0; row < nation.num_rows(); ++row) {
-    nation_in_europe[row] =
-        europe_nk.Contains(nation.strings("N_REGIONKEY").GetValueId(row));
+    nation_in_europe[row] = europe_nk.Contains(n_regionkey->GetValueId(row));
   }
 
-  const Table& part = db.part;
   const auto& p_size = part.int64s("P_SIZE");
-  const std::vector<bool> brass = ContainsIds(part.strings("P_TYPE"), "BRASS");
+  const std::vector<bool> brass = ContainsIds(p_type, "BRASS");
 
-  const Table& supp = db.supplier;
-  const FkJoin ps_to_part(ps_part, part.strings("P_PARTKEY"));
-  const FkJoin ps_to_supp(ps_supp, supp.strings("S_SUPPKEY"));
-  const FkJoin supp_to_nation(supp.strings("S_NATIONKEY"),
-                              nation.strings("N_NATIONKEY"));
+  const FkJoin ps_to_part(ps_partkey, p_partkey);
+  const FkJoin ps_to_supp(ps_suppkey, s_suppkey);
+  const FkJoin supp_to_nation(s_nationkey, n_nationkey);
 
   // Pass 1: min supply cost per part (European suppliers only).
   std::unordered_map<uint32_t, double> min_cost;  // part row -> min cost
@@ -137,15 +146,14 @@ QueryResult Q2(const TpchDatabase& db) {
   std::vector<uint32_t> supp_row_of(ps.num_rows(), kNoMatch);
   std::vector<uint32_t> nation_row_of(ps.num_rows(), kNoMatch);
   for (uint64_t row = 0; row < ps.num_rows(); ++row) {
-    const uint32_t part_row = ps_to_part.Row(ps_part, row);
+    const uint32_t part_row = ps_to_part.Row(row);
     if (part_row == kNoMatch || p_size[part_row] != 15 ||
-        !brass[part.strings("P_TYPE").GetValueId(part_row)]) {
+        !brass[p_type->GetValueId(part_row)]) {
       continue;
     }
-    const uint32_t supp_row = ps_to_supp.Row(ps_supp, row);
+    const uint32_t supp_row = ps_to_supp.Row(row);
     if (supp_row == kNoMatch) continue;
-    const uint32_t nation_row = supp_to_nation.Row(supp.strings("S_NATIONKEY"),
-                                                   supp_row);
+    const uint32_t nation_row = supp_to_nation.Row(supp_row);
     if (nation_row == kNoMatch || !nation_in_europe[nation_row]) continue;
     part_row_of[row] = part_row;
     supp_row_of[row] = supp_row;
@@ -165,14 +173,11 @@ QueryResult Q2(const TpchDatabase& db) {
     const uint32_t part_row = part_row_of[row];
     if (part_row == kNoMatch || ps_cost[row] != min_cost[part_row]) continue;
     const uint32_t supp_row = supp_row_of[row];
-    out.push_back({s_acctbal[supp_row],
-                   supp.strings("S_NAME").GetValue(supp_row),
-                   nation.strings("N_NAME").GetValue(nation_row_of[row]),
-                   part.strings("P_PARTKEY").GetValue(part_row),
-                   part.strings("P_MFGR").GetValue(part_row),
-                   supp.strings("S_ADDRESS").GetValue(supp_row),
-                   supp.strings("S_PHONE").GetValue(supp_row),
-                   supp.strings("S_COMMENT").GetValue(supp_row)});
+    out.push_back({s_acctbal[supp_row], s_name->GetValue(supp_row),
+                   n_name->GetValue(nation_row_of[row]),
+                   p_partkey->GetValue(part_row), p_mfgr->GetValue(part_row),
+                   s_address->GetValue(supp_row), s_phone->GetValue(supp_row),
+                   s_comment->GetValue(supp_row)});
   }
   std::sort(out.begin(), out.end(), [](const OutRow& a, const OutRow& b) {
     if (a.acctbal != b.acctbal) return a.acctbal > b.acctbal;
@@ -198,27 +203,31 @@ QueryResult Q3(const TpchDatabase& db) {
   const Table& c = db.customer;
   const Table& o = db.orders;
   const Table& l = db.lineitem;
+  const PinnedColumn c_mktsegment(c, "C_MKTSEGMENT");
+  const PinnedColumn c_custkey(c, "C_CUSTKEY");
+  const PinnedColumn o_custkey(o, "O_CUSTKEY");
+  const PinnedColumn o_orderkey(o, "O_ORDERKEY");
+  const PinnedColumn l_orderkey(l, "L_ORDERKEY");
 
-  const IdRange building = EqIds(c.strings("C_MKTSEGMENT"), "BUILDING");
-  const FkJoin o_to_c(o.strings("O_CUSTKEY"), c.strings("C_CUSTKEY"));
+  const IdRange building = EqIds(c_mktsegment, "BUILDING");
+  const FkJoin o_to_c(o_custkey, c_custkey);
   const auto& orderdate = o.dates("O_ORDERDATE");
   std::vector<bool> order_ok(o.num_rows(), false);
   for (uint64_t row = 0; row < o.num_rows(); ++row) {
     if (orderdate[row] >= date) continue;
-    const uint32_t c_row = o_to_c.Row(o.strings("O_CUSTKEY"), row);
-    order_ok[row] =
-        c_row != kNoMatch &&
-        building.Contains(c.strings("C_MKTSEGMENT").GetValueId(c_row));
+    const uint32_t c_row = o_to_c.Row(row);
+    order_ok[row] = c_row != kNoMatch &&
+                    building.Contains(c_mktsegment->GetValueId(c_row));
   }
 
-  const FkJoin l_to_o(l.strings("L_ORDERKEY"), o.strings("O_ORDERKEY"));
+  const FkJoin l_to_o(l_orderkey, o_orderkey);
   const auto& shipdate = l.dates("L_SHIPDATE");
   const auto& price = l.doubles("L_EXTENDEDPRICE");
   const auto& disc = l.doubles("L_DISCOUNT");
   std::unordered_map<uint32_t, double> revenue;  // order row -> revenue
   for (uint64_t row = 0; row < l.num_rows(); ++row) {
     if (shipdate[row] <= date) continue;
-    const uint32_t o_row = l_to_o.Row(l.strings("L_ORDERKEY"), row);
+    const uint32_t o_row = l_to_o.Row(row);
     if (o_row == kNoMatch || !order_ok[o_row]) continue;
     revenue[o_row] += price[row] * (1 - disc[row]);
   }
@@ -234,7 +243,7 @@ QueryResult Q3(const TpchDatabase& db) {
   result.column_names = {"l_orderkey", "revenue", "o_orderdate",
                          "o_shippriority"};
   for (const auto& [o_row, rev] : top) {
-    result.AddRow({o.strings("O_ORDERKEY").GetValue(o_row), Cell(rev),
+    result.AddRow({o_orderkey->GetValue(o_row), Cell(rev),
                    FormatDate(orderdate[o_row]),
                    Cell(o.int64s("O_SHIPPRIORITY")[o_row])});
   }
@@ -245,32 +254,34 @@ QueryResult Q3(const TpchDatabase& db) {
 QueryResult Q4(const TpchDatabase& db) {
   const Table& o = db.orders;
   const Table& l = db.lineitem;
+  const PinnedColumn l_orderkey(l, "L_ORDERKEY");
+  const PinnedColumn o_orderkey(o, "O_ORDERKEY");
+  const PinnedColumn priority(o, "O_ORDERPRIORITY");
   const int32_t lo = ParseDate("1993-07-01");
   const int32_t hi = AddMonths(lo, 3);
 
   // Orders with at least one late lineitem (commit < receipt).
-  const FkJoin l_to_o(l.strings("L_ORDERKEY"), o.strings("O_ORDERKEY"));
+  const FkJoin l_to_o(l_orderkey, o_orderkey);
   const auto& commitdate = l.dates("L_COMMITDATE");
   const auto& receiptdate = l.dates("L_RECEIPTDATE");
   std::vector<bool> has_late(o.num_rows(), false);
   for (uint64_t row = 0; row < l.num_rows(); ++row) {
     if (commitdate[row] >= receiptdate[row]) continue;
-    const uint32_t o_row = l_to_o.Row(l.strings("L_ORDERKEY"), row);
+    const uint32_t o_row = l_to_o.Row(row);
     if (o_row != kNoMatch) has_late[o_row] = true;
   }
 
   const auto& orderdate = o.dates("O_ORDERDATE");
-  const StringColumn& priority = o.strings("O_ORDERPRIORITY");
   std::map<uint32_t, uint64_t> counts;  // priority id -> count (ordered)
   for (uint64_t row = 0; row < o.num_rows(); ++row) {
     if (orderdate[row] < lo || orderdate[row] >= hi || !has_late[row]) continue;
-    ++counts[priority.GetValueId(row)];
+    ++counts[priority->GetValueId(row)];
   }
 
   QueryResult result;
   result.column_names = {"o_orderpriority", "order_count"};
   for (const auto& [id, count] : counts) {
-    result.AddRow({priority.ExtractId(id), Cell(count)});
+    result.AddRow({priority->ExtractId(id), Cell(count)});
   }
   return result;
 }
@@ -282,52 +293,62 @@ QueryResult Q5(const TpchDatabase& db) {
   const Table& c = db.customer;
   const Table& s = db.supplier;
   const Table& n = db.nation;
+  const PinnedColumn l_orderkey(l, "L_ORDERKEY");
+  const PinnedColumn l_suppkey(l, "L_SUPPKEY");
+  const PinnedColumn o_orderkey(o, "O_ORDERKEY");
+  const PinnedColumn o_custkey(o, "O_CUSTKEY");
+  const PinnedColumn c_custkey(c, "C_CUSTKEY");
+  const PinnedColumn c_nationkey(c, "C_NATIONKEY");
+  const PinnedColumn s_suppkey(s, "S_SUPPKEY");
+  const PinnedColumn s_nationkey(s, "S_NATIONKEY");
+  const PinnedColumn n_nationkey(n, "N_NATIONKEY");
+  const PinnedColumn n_regionkey(n, "N_REGIONKEY");
+  const PinnedColumn n_name(n, "N_NAME");
+  const PinnedColumn r_name(db.region, "R_NAME");
+  const PinnedColumn r_regionkey(db.region, "R_REGIONKEY");
   const int32_t lo = ParseDate("1994-01-01");
   const int32_t hi = AddMonths(lo, 12);
 
   // Asian nation rows.
-  const IdRange asia = EqIds(db.region.strings("R_NAME"), "ASIA");
+  const IdRange asia = EqIds(r_name, "ASIA");
   std::string asia_key;
   if (!asia.empty()) {
-    const IdIndex region_index(db.region.strings("R_NAME"));
-    asia_key = db.region.strings("R_REGIONKEY")
-                   .GetValue(region_index.UniqueRow(asia.begin));
+    const IdIndex region_index(r_name);
+    asia_key = r_regionkey->GetValue(region_index.UniqueRow(asia.begin));
   }
-  const IdRange asia_nk = EqIds(n.strings("N_REGIONKEY"), asia_key);
+  const IdRange asia_nk = EqIds(n_regionkey, asia_key);
   std::vector<bool> nation_in_asia(n.num_rows(), false);
   for (uint64_t row = 0; row < n.num_rows(); ++row) {
-    nation_in_asia[row] =
-        asia_nk.Contains(n.strings("N_REGIONKEY").GetValueId(row));
+    nation_in_asia[row] = asia_nk.Contains(n_regionkey->GetValueId(row));
   }
 
-  const FkJoin l_to_o(l.strings("L_ORDERKEY"), o.strings("O_ORDERKEY"));
-  const FkJoin l_to_s(l.strings("L_SUPPKEY"), s.strings("S_SUPPKEY"));
-  const FkJoin o_to_c(o.strings("O_CUSTKEY"), c.strings("C_CUSTKEY"));
-  const FkJoin s_to_n(s.strings("S_NATIONKEY"), n.strings("N_NATIONKEY"));
+  const FkJoin l_to_o(l_orderkey, o_orderkey);
+  const FkJoin l_to_s(l_suppkey, s_suppkey);
+  const FkJoin o_to_c(o_custkey, c_custkey);
+  const FkJoin s_to_n(s_nationkey, n_nationkey);
   // Customer and supplier nation keys live in different dictionaries; map
   // both into the nation table's ID space for the equality check.
   const std::vector<uint32_t> c_nation_map =
-      MapDictionary(c.strings("C_NATIONKEY"), n.strings("N_NATIONKEY"));
+      MapDictionary(c_nationkey, n_nationkey);
 
   const auto& orderdate = o.dates("O_ORDERDATE");
   const auto& price = l.doubles("L_EXTENDEDPRICE");
   const auto& disc = l.doubles("L_DISCOUNT");
   std::unordered_map<uint32_t, double> revenue;  // nation row -> revenue
   for (uint64_t row = 0; row < l.num_rows(); ++row) {
-    const uint32_t o_row = l_to_o.Row(l.strings("L_ORDERKEY"), row);
+    const uint32_t o_row = l_to_o.Row(row);
     if (o_row == kNoMatch || orderdate[o_row] < lo || orderdate[o_row] >= hi) {
       continue;
     }
-    const uint32_t s_row = l_to_s.Row(l.strings("L_SUPPKEY"), row);
+    const uint32_t s_row = l_to_s.Row(row);
     if (s_row == kNoMatch) continue;
-    const uint32_t n_row = s_to_n.Row(s.strings("S_NATIONKEY"), s_row);
+    const uint32_t n_row = s_to_n.Row(s_row);
     if (n_row == kNoMatch || !nation_in_asia[n_row]) continue;
-    const uint32_t c_row = o_to_c.Row(o.strings("O_CUSTKEY"), o_row);
+    const uint32_t c_row = o_to_c.Row(o_row);
     if (c_row == kNoMatch) continue;
     // Local supplier: customer and supplier share the nation.
-    const uint32_t c_nation_id =
-        c_nation_map[c.strings("C_NATIONKEY").GetValueId(c_row)];
-    if (c_nation_id != n.strings("N_NATIONKEY").GetValueId(n_row)) continue;
+    const uint32_t c_nation_id = c_nation_map[c_nationkey->GetValueId(c_row)];
+    if (c_nation_id != n_nationkey->GetValueId(n_row)) continue;
     revenue[n_row] += price[row] * (1 - disc[row]);
   }
 
@@ -338,7 +359,7 @@ QueryResult Q5(const TpchDatabase& db) {
   QueryResult result;
   result.column_names = {"n_name", "revenue"};
   for (const auto& [n_row, rev] : rows) {
-    result.AddRow({n.strings("N_NAME").GetValue(n_row), Cell(rev)});
+    result.AddRow({n_name->GetValue(n_row), Cell(rev)});
   }
   return result;
 }
@@ -384,20 +405,30 @@ QueryResult Q7(const TpchDatabase& db) {
   const Table& c = db.customer;
   const Table& s = db.supplier;
   const Table& n = db.nation;
+  const PinnedColumn l_orderkey(l, "L_ORDERKEY");
+  const PinnedColumn l_suppkey(l, "L_SUPPKEY");
+  const PinnedColumn o_orderkey(o, "O_ORDERKEY");
+  const PinnedColumn o_custkey(o, "O_CUSTKEY");
+  const PinnedColumn c_custkey(c, "C_CUSTKEY");
+  const PinnedColumn c_nationkey(c, "C_NATIONKEY");
+  const PinnedColumn s_suppkey(s, "S_SUPPKEY");
+  const PinnedColumn s_nationkey(s, "S_NATIONKEY");
+  const PinnedColumn n_nationkey(n, "N_NATIONKEY");
+  const PinnedColumn n_name(n, "N_NAME");
 
-  const IdRange france = EqIds(n.strings("N_NAME"), "FRANCE");
-  const IdRange germany = EqIds(n.strings("N_NAME"), "GERMANY");
-  const IdIndex nation_by_name(n.strings("N_NAME"));
+  const IdRange france = EqIds(n_name, "FRANCE");
+  const IdRange germany = EqIds(n_name, "GERMANY");
+  const IdIndex nation_by_name(n_name);
   const uint32_t france_row =
       france.empty() ? kNoMatch : nation_by_name.UniqueRow(france.begin);
   const uint32_t germany_row =
       germany.empty() ? kNoMatch : nation_by_name.UniqueRow(germany.begin);
 
-  const FkJoin l_to_o(l.strings("L_ORDERKEY"), o.strings("O_ORDERKEY"));
-  const FkJoin l_to_s(l.strings("L_SUPPKEY"), s.strings("S_SUPPKEY"));
-  const FkJoin o_to_c(o.strings("O_CUSTKEY"), c.strings("C_CUSTKEY"));
-  const FkJoin s_to_n(s.strings("S_NATIONKEY"), n.strings("N_NATIONKEY"));
-  const FkJoin c_to_n(c.strings("C_NATIONKEY"), n.strings("N_NATIONKEY"));
+  const FkJoin l_to_o(l_orderkey, o_orderkey);
+  const FkJoin l_to_s(l_suppkey, s_suppkey);
+  const FkJoin o_to_c(o_custkey, c_custkey);
+  const FkJoin s_to_n(s_nationkey, n_nationkey);
+  const FkJoin c_to_n(c_nationkey, n_nationkey);
 
   const auto& shipdate = l.dates("L_SHIPDATE");
   const auto& price = l.doubles("L_EXTENDEDPRICE");
@@ -409,15 +440,15 @@ QueryResult Q7(const TpchDatabase& db) {
   std::map<std::tuple<uint32_t, uint32_t, int>, double> volume;
   for (uint64_t row = 0; row < l.num_rows(); ++row) {
     if (shipdate[row] < lo || shipdate[row] > hi) continue;
-    const uint32_t s_row = l_to_s.Row(l.strings("L_SUPPKEY"), row);
+    const uint32_t s_row = l_to_s.Row(row);
     if (s_row == kNoMatch) continue;
-    const uint32_t sn = s_to_n.Row(s.strings("S_NATIONKEY"), s_row);
+    const uint32_t sn = s_to_n.Row(s_row);
     if (sn != france_row && sn != germany_row) continue;
-    const uint32_t o_row = l_to_o.Row(l.strings("L_ORDERKEY"), row);
+    const uint32_t o_row = l_to_o.Row(row);
     if (o_row == kNoMatch) continue;
-    const uint32_t c_row = o_to_c.Row(o.strings("O_CUSTKEY"), o_row);
+    const uint32_t c_row = o_to_c.Row(o_row);
     if (c_row == kNoMatch) continue;
-    const uint32_t cn = c_to_n.Row(c.strings("C_NATIONKEY"), c_row);
+    const uint32_t cn = c_to_n.Row(c_row);
     const bool pair = (sn == france_row && cn == germany_row) ||
                       (sn == germany_row && cn == france_row);
     if (!pair) continue;
@@ -428,9 +459,8 @@ QueryResult Q7(const TpchDatabase& db) {
   result.column_names = {"supp_nation", "cust_nation", "l_year", "revenue"};
   std::vector<std::pair<std::tuple<std::string, std::string, int>, double>> rows;
   for (const auto& [key, rev] : volume) {
-    rows.push_back({{n.strings("N_NAME").GetValue(std::get<0>(key)),
-                     n.strings("N_NAME").GetValue(std::get<1>(key)),
-                     std::get<2>(key)},
+    rows.push_back({{n_name->GetValue(std::get<0>(key)),
+                     n_name->GetValue(std::get<1>(key)), std::get<2>(key)},
                     rev});
   }
   std::sort(rows.begin(), rows.end());
@@ -449,33 +479,47 @@ QueryResult Q8(const TpchDatabase& db) {
   const Table& s = db.supplier;
   const Table& n = db.nation;
   const Table& p = db.part;
+  const PinnedColumn l_orderkey(l, "L_ORDERKEY");
+  const PinnedColumn l_suppkey(l, "L_SUPPKEY");
+  const PinnedColumn l_partkey(l, "L_PARTKEY");
+  const PinnedColumn o_orderkey(o, "O_ORDERKEY");
+  const PinnedColumn o_custkey(o, "O_CUSTKEY");
+  const PinnedColumn c_custkey(c, "C_CUSTKEY");
+  const PinnedColumn c_nationkey(c, "C_NATIONKEY");
+  const PinnedColumn s_suppkey(s, "S_SUPPKEY");
+  const PinnedColumn s_nationkey(s, "S_NATIONKEY");
+  const PinnedColumn n_nationkey(n, "N_NATIONKEY");
+  const PinnedColumn n_regionkey(n, "N_REGIONKEY");
+  const PinnedColumn n_name(n, "N_NAME");
+  const PinnedColumn p_partkey(p, "P_PARTKEY");
+  const PinnedColumn p_type(p, "P_TYPE");
+  const PinnedColumn r_name(db.region, "R_NAME");
+  const PinnedColumn r_regionkey(db.region, "R_REGIONKEY");
 
-  const IdRange steel = EqIds(p.strings("P_TYPE"), "ECONOMY ANODIZED STEEL");
-  const IdRange brazil = EqIds(n.strings("N_NAME"), "BRAZIL");
-  const IdIndex nation_by_name(n.strings("N_NAME"));
+  const IdRange steel = EqIds(p_type, "ECONOMY ANODIZED STEEL");
+  const IdRange brazil = EqIds(n_name, "BRAZIL");
+  const IdIndex nation_by_name(n_name);
   const uint32_t brazil_row =
       brazil.empty() ? kNoMatch : nation_by_name.UniqueRow(brazil.begin);
 
-  const IdRange america = EqIds(db.region.strings("R_NAME"), "AMERICA");
+  const IdRange america = EqIds(r_name, "AMERICA");
   std::string america_key;
   if (!america.empty()) {
-    const IdIndex region_index(db.region.strings("R_NAME"));
-    america_key = db.region.strings("R_REGIONKEY")
-                      .GetValue(region_index.UniqueRow(america.begin));
+    const IdIndex region_index(r_name);
+    america_key = r_regionkey->GetValue(region_index.UniqueRow(america.begin));
   }
-  const IdRange america_nk = EqIds(n.strings("N_REGIONKEY"), america_key);
+  const IdRange america_nk = EqIds(n_regionkey, america_key);
   std::vector<bool> nation_in_america(n.num_rows(), false);
   for (uint64_t row = 0; row < n.num_rows(); ++row) {
-    nation_in_america[row] =
-        america_nk.Contains(n.strings("N_REGIONKEY").GetValueId(row));
+    nation_in_america[row] = america_nk.Contains(n_regionkey->GetValueId(row));
   }
 
-  const FkJoin l_to_o(l.strings("L_ORDERKEY"), o.strings("O_ORDERKEY"));
-  const FkJoin l_to_s(l.strings("L_SUPPKEY"), s.strings("S_SUPPKEY"));
-  const FkJoin l_to_p(l.strings("L_PARTKEY"), p.strings("P_PARTKEY"));
-  const FkJoin o_to_c(o.strings("O_CUSTKEY"), c.strings("C_CUSTKEY"));
-  const FkJoin s_to_n(s.strings("S_NATIONKEY"), n.strings("N_NATIONKEY"));
-  const FkJoin c_to_n(c.strings("C_NATIONKEY"), n.strings("N_NATIONKEY"));
+  const FkJoin l_to_o(l_orderkey, o_orderkey);
+  const FkJoin l_to_s(l_suppkey, s_suppkey);
+  const FkJoin l_to_p(l_partkey, p_partkey);
+  const FkJoin o_to_c(o_custkey, c_custkey);
+  const FkJoin s_to_n(s_nationkey, n_nationkey);
+  const FkJoin c_to_n(c_nationkey, n_nationkey);
 
   const auto& orderdate = o.dates("O_ORDERDATE");
   const auto& price = l.doubles("L_EXTENDEDPRICE");
@@ -485,22 +529,21 @@ QueryResult Q8(const TpchDatabase& db) {
 
   std::map<int, std::pair<double, double>> by_year;  // year -> (brazil, total)
   for (uint64_t row = 0; row < l.num_rows(); ++row) {
-    const uint32_t p_row = l_to_p.Row(l.strings("L_PARTKEY"), row);
-    if (p_row == kNoMatch ||
-        !steel.Contains(p.strings("P_TYPE").GetValueId(p_row))) {
+    const uint32_t p_row = l_to_p.Row(row);
+    if (p_row == kNoMatch || !steel.Contains(p_type->GetValueId(p_row))) {
       continue;
     }
-    const uint32_t o_row = l_to_o.Row(l.strings("L_ORDERKEY"), row);
+    const uint32_t o_row = l_to_o.Row(row);
     if (o_row == kNoMatch || orderdate[o_row] < lo || orderdate[o_row] > hi) {
       continue;
     }
-    const uint32_t c_row = o_to_c.Row(o.strings("O_CUSTKEY"), o_row);
+    const uint32_t c_row = o_to_c.Row(o_row);
     if (c_row == kNoMatch) continue;
-    const uint32_t cn = c_to_n.Row(c.strings("C_NATIONKEY"), c_row);
+    const uint32_t cn = c_to_n.Row(c_row);
     if (cn == kNoMatch || !nation_in_america[cn]) continue;
-    const uint32_t s_row = l_to_s.Row(l.strings("L_SUPPKEY"), row);
+    const uint32_t s_row = l_to_s.Row(row);
     if (s_row == kNoMatch) continue;
-    const uint32_t sn = s_to_n.Row(s.strings("S_NATIONKEY"), s_row);
+    const uint32_t sn = s_to_n.Row(s_row);
     const double volume = price[row] * (1 - disc[row]);
     auto& [brazil_vol, total] = by_year[YearOf(orderdate[o_row])];
     total += volume;
@@ -524,26 +567,38 @@ QueryResult Q9(const TpchDatabase& db) {
   const Table& n = db.nation;
   const Table& p = db.part;
   const Table& ps = db.partsupp;
+  const PinnedColumn l_orderkey(l, "L_ORDERKEY");
+  const PinnedColumn l_suppkey(l, "L_SUPPKEY");
+  const PinnedColumn l_partkey(l, "L_PARTKEY");
+  const PinnedColumn o_orderkey(o, "O_ORDERKEY");
+  const PinnedColumn s_suppkey(s, "S_SUPPKEY");
+  const PinnedColumn s_nationkey(s, "S_NATIONKEY");
+  const PinnedColumn n_nationkey(n, "N_NATIONKEY");
+  const PinnedColumn n_name(n, "N_NAME");
+  const PinnedColumn p_partkey(p, "P_PARTKEY");
+  const PinnedColumn p_name(p, "P_NAME");
+  const PinnedColumn ps_partkey(ps, "PS_PARTKEY");
+  const PinnedColumn ps_suppkey(ps, "PS_SUPPKEY");
 
-  const std::vector<bool> green = ContainsIds(p.strings("P_NAME"), "green");
+  const std::vector<bool> green = ContainsIds(p_name, "green");
 
-  const FkJoin l_to_o(l.strings("L_ORDERKEY"), o.strings("O_ORDERKEY"));
-  const FkJoin l_to_s(l.strings("L_SUPPKEY"), s.strings("S_SUPPKEY"));
-  const FkJoin l_to_p(l.strings("L_PARTKEY"), p.strings("P_PARTKEY"));
-  const FkJoin s_to_n(s.strings("S_NATIONKEY"), n.strings("N_NATIONKEY"));
+  const FkJoin l_to_o(l_orderkey, o_orderkey);
+  const FkJoin l_to_s(l_suppkey, s_suppkey);
+  const FkJoin l_to_p(l_partkey, p_partkey);
+  const FkJoin s_to_n(s_nationkey, n_nationkey);
 
   // (ps part id, ps supp id) -> partsupp row, with lineitem keys mapped into
   // partsupp's dictionaries.
   const std::vector<uint32_t> l_part_to_ps =
-      MapDictionary(l.strings("L_PARTKEY"), ps.strings("PS_PARTKEY"));
+      MapDictionary(l_partkey, ps_partkey);
   const std::vector<uint32_t> l_supp_to_ps =
-      MapDictionary(l.strings("L_SUPPKEY"), ps.strings("PS_SUPPKEY"));
+      MapDictionary(l_suppkey, ps_suppkey);
   std::unordered_map<uint64_t, uint32_t> ps_row_by_keys;
   ps_row_by_keys.reserve(ps.num_rows());
   for (uint64_t row = 0; row < ps.num_rows(); ++row) {
     const uint64_t key =
-        (static_cast<uint64_t>(ps.strings("PS_PARTKEY").GetValueId(row)) << 32) |
-        ps.strings("PS_SUPPKEY").GetValueId(row);
+        (static_cast<uint64_t>(ps_partkey->GetValueId(row)) << 32) |
+        ps_suppkey->GetValueId(row);
     ps_row_by_keys.emplace(key, static_cast<uint32_t>(row));
   }
 
@@ -555,20 +610,18 @@ QueryResult Q9(const TpchDatabase& db) {
 
   std::map<std::pair<uint32_t, int>, double> profit;  // (nation row, year)
   for (uint64_t row = 0; row < l.num_rows(); ++row) {
-    const uint32_t p_row = l_to_p.Row(l.strings("L_PARTKEY"), row);
-    if (p_row == kNoMatch || !green[p.strings("P_NAME").GetValueId(p_row)]) {
-      continue;
-    }
-    const uint32_t ps_part = l_part_to_ps[l.strings("L_PARTKEY").GetValueId(row)];
-    const uint32_t ps_supp = l_supp_to_ps[l.strings("L_SUPPKEY").GetValueId(row)];
+    const uint32_t p_row = l_to_p.Row(row);
+    if (p_row == kNoMatch || !green[p_name->GetValueId(p_row)]) continue;
+    const uint32_t ps_part = l_part_to_ps[l_partkey->GetValueId(row)];
+    const uint32_t ps_supp = l_supp_to_ps[l_suppkey->GetValueId(row)];
     if (ps_part == kNoMatch || ps_supp == kNoMatch) continue;
     const auto it = ps_row_by_keys.find((static_cast<uint64_t>(ps_part) << 32) |
                                         ps_supp);
     if (it == ps_row_by_keys.end()) continue;
-    const uint32_t s_row = l_to_s.Row(l.strings("L_SUPPKEY"), row);
-    const uint32_t o_row = l_to_o.Row(l.strings("L_ORDERKEY"), row);
+    const uint32_t s_row = l_to_s.Row(row);
+    const uint32_t o_row = l_to_o.Row(row);
     if (s_row == kNoMatch || o_row == kNoMatch) continue;
-    const uint32_t n_row = s_to_n.Row(s.strings("S_NATIONKEY"), s_row);
+    const uint32_t n_row = s_to_n.Row(s_row);
     if (n_row == kNoMatch) continue;
     const double amount =
         price[row] * (1 - disc[row]) - supplycost[it->second] * qty[row];
@@ -578,8 +631,7 @@ QueryResult Q9(const TpchDatabase& db) {
   // Order by nation name asc, year desc.
   std::vector<std::tuple<std::string, int, double>> rows;
   for (const auto& [key, amount] : profit) {
-    rows.push_back(
-        {n.strings("N_NAME").GetValue(key.first), key.second, amount});
+    rows.push_back({n_name->GetValue(key.first), key.second, amount});
   }
   std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
     if (std::get<0>(a) != std::get<0>(b)) return std::get<0>(a) < std::get<0>(b);
@@ -600,25 +652,37 @@ QueryResult Q10(const TpchDatabase& db) {
   const Table& o = db.orders;
   const Table& c = db.customer;
   const Table& n = db.nation;
+  const PinnedColumn l_returnflag(l, "L_RETURNFLAG");
+  const PinnedColumn l_orderkey(l, "L_ORDERKEY");
+  const PinnedColumn o_orderkey(o, "O_ORDERKEY");
+  const PinnedColumn o_custkey(o, "O_CUSTKEY");
+  const PinnedColumn c_custkey(c, "C_CUSTKEY");
+  const PinnedColumn c_nationkey(c, "C_NATIONKEY");
+  const PinnedColumn c_name(c, "C_NAME");
+  const PinnedColumn c_address(c, "C_ADDRESS");
+  const PinnedColumn c_phone(c, "C_PHONE");
+  const PinnedColumn c_comment(c, "C_COMMENT");
+  const PinnedColumn n_nationkey(n, "N_NATIONKEY");
+  const PinnedColumn n_name(n, "N_NAME");
   const int32_t lo = ParseDate("1993-10-01");
   const int32_t hi = AddMonths(lo, 3);
 
-  const IdRange returned = EqIds(l.strings("L_RETURNFLAG"), "R");
-  const FkJoin l_to_o(l.strings("L_ORDERKEY"), o.strings("O_ORDERKEY"));
-  const FkJoin o_to_c(o.strings("O_CUSTKEY"), c.strings("C_CUSTKEY"));
-  const FkJoin c_to_n(c.strings("C_NATIONKEY"), n.strings("N_NATIONKEY"));
+  const IdRange returned = EqIds(l_returnflag, "R");
+  const FkJoin l_to_o(l_orderkey, o_orderkey);
+  const FkJoin o_to_c(o_custkey, c_custkey);
+  const FkJoin c_to_n(c_nationkey, n_nationkey);
 
   const auto& orderdate = o.dates("O_ORDERDATE");
   const auto& price = l.doubles("L_EXTENDEDPRICE");
   const auto& disc = l.doubles("L_DISCOUNT");
   std::unordered_map<uint32_t, double> revenue;  // customer row
   for (uint64_t row = 0; row < l.num_rows(); ++row) {
-    if (!returned.Contains(l.strings("L_RETURNFLAG").GetValueId(row))) continue;
-    const uint32_t o_row = l_to_o.Row(l.strings("L_ORDERKEY"), row);
+    if (!returned.Contains(l_returnflag->GetValueId(row))) continue;
+    const uint32_t o_row = l_to_o.Row(row);
     if (o_row == kNoMatch || orderdate[o_row] < lo || orderdate[o_row] >= hi) {
       continue;
     }
-    const uint32_t c_row = o_to_c.Row(o.strings("O_CUSTKEY"), o_row);
+    const uint32_t c_row = o_to_c.Row(o_row);
     if (c_row == kNoMatch) continue;
     revenue[c_row] += price[row] * (1 - disc[row]);
   }
@@ -635,14 +699,12 @@ QueryResult Q10(const TpchDatabase& db) {
                          "n_name",    "c_address", "c_phone", "c_comment"};
   const auto& acctbal = c.doubles("C_ACCTBAL");
   for (const auto& [c_row, rev] : top) {
-    const uint32_t n_row = c_to_n.Row(c.strings("C_NATIONKEY"), c_row);
-    result.AddRow({c.strings("C_CUSTKEY").GetValue(c_row),
-                   c.strings("C_NAME").GetValue(c_row), Cell(rev),
-                   Cell(acctbal[c_row]),
-                   n_row == kNoMatch ? "" : n.strings("N_NAME").GetValue(n_row),
-                   c.strings("C_ADDRESS").GetValue(c_row),
-                   c.strings("C_PHONE").GetValue(c_row),
-                   c.strings("C_COMMENT").GetValue(c_row)});
+    const uint32_t n_row = c_to_n.Row(c_row);
+    result.AddRow({c_custkey->GetValue(c_row), c_name->GetValue(c_row),
+                   Cell(rev), Cell(acctbal[c_row]),
+                   n_row == kNoMatch ? "" : n_name->GetValue(n_row),
+                   c_address->GetValue(c_row), c_phone->GetValue(c_row),
+                   c_comment->GetValue(c_row)});
   }
   return result;
 }
@@ -652,25 +714,31 @@ QueryResult Q11(const TpchDatabase& db) {
   const Table& ps = db.partsupp;
   const Table& s = db.supplier;
   const Table& n = db.nation;
+  const PinnedColumn ps_partkey(ps, "PS_PARTKEY");
+  const PinnedColumn ps_suppkey(ps, "PS_SUPPKEY");
+  const PinnedColumn s_suppkey(s, "S_SUPPKEY");
+  const PinnedColumn s_nationkey(s, "S_NATIONKEY");
+  const PinnedColumn n_nationkey(n, "N_NATIONKEY");
+  const PinnedColumn n_name(n, "N_NAME");
 
-  const IdRange germany = EqIds(n.strings("N_NAME"), "GERMANY");
-  const IdIndex nation_by_name(n.strings("N_NAME"));
+  const IdRange germany = EqIds(n_name, "GERMANY");
+  const IdIndex nation_by_name(n_name);
   const uint32_t germany_row =
       germany.empty() ? kNoMatch : nation_by_name.UniqueRow(germany.begin);
 
-  const FkJoin ps_to_s(ps.strings("PS_SUPPKEY"), s.strings("S_SUPPKEY"));
-  const FkJoin s_to_n(s.strings("S_NATIONKEY"), n.strings("N_NATIONKEY"));
+  const FkJoin ps_to_s(ps_suppkey, s_suppkey);
+  const FkJoin s_to_n(s_nationkey, n_nationkey);
 
   const auto& cost = ps.doubles("PS_SUPPLYCOST");
   const auto& avail = ps.int64s("PS_AVAILQTY");
   std::unordered_map<uint32_t, double> value;  // ps part value id -> value
   double total = 0;
   for (uint64_t row = 0; row < ps.num_rows(); ++row) {
-    const uint32_t s_row = ps_to_s.Row(ps.strings("PS_SUPPKEY"), row);
+    const uint32_t s_row = ps_to_s.Row(row);
     if (s_row == kNoMatch) continue;
-    if (s_to_n.Row(s.strings("S_NATIONKEY"), s_row) != germany_row) continue;
+    if (s_to_n.Row(s_row) != germany_row) continue;
     const double v = cost[row] * static_cast<double>(avail[row]);
-    value[ps.strings("PS_PARTKEY").GetValueId(row)] += v;
+    value[ps_partkey->GetValueId(row)] += v;
     total += v;
   }
   // The spec's fraction is 0.0001 at SF 1 and scales inversely with SF;
@@ -690,7 +758,7 @@ QueryResult Q11(const TpchDatabase& db) {
   QueryResult result;
   result.column_names = {"ps_partkey", "value"};
   for (const auto& [part_id, v] : rows) {
-    result.AddRow({ps.strings("PS_PARTKEY").ExtractId(part_id), Cell(v)});
+    result.AddRow({ps_partkey->ExtractId(part_id), Cell(v)});
   }
   return result;
 }

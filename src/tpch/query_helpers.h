@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -16,17 +18,37 @@
 namespace adict {
 namespace tpch_internal {
 
-/// Foreign-key join accessor: maps a FK column's value IDs to rows of the
-/// primary-key table in two precomputed steps.
+/// One query's pin on a string column: the version current when the query
+/// starts, held until the query returns. Each plan pins every string column
+/// it reads once, at its top, and its row loops then touch no name lookup
+/// and no version mutex. Every dictionary map and value ID in the plan
+/// comes from that one version, however many publishes race the query.
+class PinnedColumn {
+ public:
+  PinnedColumn(const Table& table, const std::string& name)
+      : snapshot_(table.SnapshotStrings(name)) {}
+
+  operator const StringColumn&() const { return *snapshot_; }
+  const StringColumn* operator->() const { return snapshot_.get(); }
+
+ private:
+  std::shared_ptr<const StringColumn> snapshot_;
+};
+
+/// Foreign-key join accessor: maps the FK column's value IDs to rows of the
+/// primary-key table in two precomputed steps. Holds `fk` (a pin that must
+/// outlive the join) by reference, so the ID map is only ever indexed with
+/// IDs of the version it was built on.
 struct FkJoin {
+  const StringColumn& fk;
   std::vector<uint32_t> id_map;  // fk value id -> pk value id (or kNoMatch)
   IdIndex pk_index;
 
   FkJoin(const StringColumn& fk, const StringColumn& pk)
-      : id_map(MapDictionary(fk, pk)), pk_index(pk) {}
+      : fk(fk), id_map(MapDictionary(fk, pk)), pk_index(pk) {}
 
   /// Row in the PK table for FK row `fk_row`, or kNoMatch.
-  uint32_t Row(const StringColumn& fk, uint64_t fk_row) const {
+  uint32_t Row(uint64_t fk_row) const {
     const uint32_t pk_id = id_map[fk.GetValueId(fk_row)];
     return pk_id == kNoMatch ? kNoMatch : pk_index.UniqueRow(pk_id);
   }

@@ -216,6 +216,13 @@ Per-format counters: `manager.chosen.array` and `manager.chosen.fc_block`.
 | `mini.span` | the one span |
 | `server.mini.span` | the mini request |
 )lint");
+    // The snapshots check: a query plan that pins its column.
+    Write("src/tpch/queries_mini.cc", R"lint(
+QueryResult QMini(const TpchDatabase& db) {
+  const PinnedColumn name(db.nation, "N_NAME");
+  return Scan(name);
+}
+)lint");
     // The lint also scans examples/ and bench/ for spans.
     Write("examples/README.md", "placeholder\n");
     Write("bench/README.md", "placeholder\n");
@@ -674,6 +681,51 @@ const char* AlsoName(LockRank rank) {
                                "Mutex/MutexCv declaration uses it"),
             std::string::npos)
       << result.output;
+}
+
+// Query plans and the server run while columns are published, so the
+// single-writer-phase accessors are flagged there.
+TEST_F(LintTest, SnapshotsFlagSingleWriterAccessorsInPlansAndServer) {
+  Append("src/tpch/queries_mini.cc", R"lint(
+uint32_t FirstId(const TpchDatabase& db) {
+  return db.nation.strings("N_NAME").GetValueId(0);
+}
+)lint");
+  Append("src/server/query_server.cc", R"lint(
+size_t Bytes(const Table* table) {
+  return table->string_column(0).current().MemoryBytes();
+}
+)lint");
+  const LintResult result = RunLint(root_);
+  EXPECT_EQ(result.exit_code, 1) << result.output;
+  EXPECT_NE(result.output.find("queries_mini.cc:8: [snapshots] `.strings()` "
+                               "is a single-writer-phase accessor"),
+            std::string::npos)
+      << result.output;
+  EXPECT_NE(result.output.find("[snapshots] `.current()` is a "
+                               "single-writer-phase accessor"),
+            std::string::npos)
+      << result.output;
+}
+
+// The accessors stay legal outside plans and the server, in comments, and
+// in the snapshot calls whose names merely end in "Strings".
+TEST_F(LintTest, SnapshotsAllowPinsCommentsAndOtherLayers) {
+  Append("src/tpch/queries_mini.cc", R"lint(
+// Not through db.nation.strings("N_NAME"): that dangles at a publish.
+size_t Pinned(const TpchDatabase& db) {
+  return db.nation.SnapshotStrings("N_NAME")->num_rows() +
+         db.nation.versioned_strings("N_NAME").Snapshot()->num_rows();
+}
+)lint");
+  Write("src/store/loader.cc", R"lint(
+void Load(Table* table) {
+  table->strings("N_NAME").ResetUsage();
+  table->string_column(0).current().ResetUsage();
+}
+)lint");
+  const LintResult result = RunLint(root_);
+  EXPECT_EQ(result.exit_code, 0) << result.output;
 }
 
 // Structural breakage (a missing file) is exit 2, distinct from violations

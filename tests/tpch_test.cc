@@ -2,10 +2,14 @@
 // the key property that query results are independent of dictionary format.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
+#include <vector>
 
+#include "dict/dictionary.h"
 #include "engine/join.h"
 #include "tpch/dbgen.h"
 #include "tpch/queries.h"
@@ -198,6 +202,67 @@ TEST(TpchQueries, ResultsIndependentOfDictionaryFormat) {
     const QueryResult result = RunTpchQuery(db, q);
     ASSERT_EQ(result.rows, baseline[q - 1].rows) << "Q" << q;
   }
+}
+
+TEST(TpchQueries, ResultsStableWhileColumnsArePublished) {
+  // Readers run all 22 queries while a writer republishes every string
+  // column in alternating formats. Formats never change results (see
+  // ResultsIndependentOfDictionaryFormat), so every reader result must equal
+  // the serial one. A plan that reads a version freed by a publish, or
+  // indexes a join map built on one version with value IDs of the next,
+  // fails here, or under ASan / TSan.
+  TpchOptions options;
+  options.scale_factor = 0.001;
+  TpchDatabase db = GenerateTpch(options);
+  std::vector<QueryResult> baseline;
+  for (int q = 1; q <= kNumTpchQueries; ++q) {
+    baseline.push_back(RunTpchQuery(db, q));
+  }
+
+  constexpr int kReaders = 3;
+  constexpr int kPassesPerReader = 2;
+  std::atomic<bool> stop{false};
+  std::atomic<int> passes{0};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&] {
+      while (!stop.load(std::memory_order_acquire)) {
+        for (int q = 1; q <= kNumTpchQueries; ++q) {
+          if (RunTpchQuery(db, q).rows != baseline[q - 1].rows) {
+            mismatches.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+        passes.fetch_add(1, std::memory_order_acq_rel);
+      }
+    });
+  }
+
+  // Publish until every reader has had time for its passes, and at least
+  // one round in each format.
+  const DictFormat formats[] = {DictFormat::kFcBlockRp16, DictFormat::kArray};
+  int rounds = 0;
+  while (rounds < 2 || passes.load(std::memory_order_acquire) <
+                           kReaders * kPassesPerReader) {
+    const DictFormat format = formats[rounds++ % 2];
+    for (Table* table : db.tables()) {
+      for (size_t i = 0; i < table->num_string_columns(); ++i) {
+        const std::shared_ptr<const StringColumn> version =
+            table->string_column(i).Snapshot();
+        table->PublishStrings(
+            table->string_column_name(i),
+            StringColumn::FromParts(
+                BuildDictionary(format, version->MaterializeDictionary()),
+                version->vector()));
+      }
+    }
+  }
+  stop.store(true, std::memory_order_release);
+  for (std::thread& reader : readers) reader.join();
+
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_GE(passes.load(), kReaders * kPassesPerReader);
+  EXPECT_GE(rounds, 2);
 }
 
 TEST(TpchQueries, WorkloadTracesDictionaryUsage) {

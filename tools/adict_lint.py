@@ -570,6 +570,39 @@ def check_nodiscard(root: Path, rep: Reporter) -> None:
 
 
 # ---------------------------------------------------------------------------
+# snapshots: query plans and the server read string columns through pins
+#
+# Table::strings() and VersionedStringColumn::current() return a reference
+# into the current version of a column, valid only until its next publish.
+# The TPC-H plans and the query server run while the recompression
+# scheduler and delta merges publish, so they must read through snapshots
+# (SnapshotStrings / Snapshot / PinnedColumn) instead.
+
+
+SINGLE_WRITER_ACCESSOR_RE = re.compile(r"(?:\.|->)\s*(strings|current)\s*\(")
+
+
+def check_snapshots(root: Path, rep: Reporter) -> None:
+    check = "snapshots"
+    plans = sorted((root / "src/tpch").glob("queries_*.cc"))
+    if not plans:
+        raise LintError(f"{root / 'src/tpch'}: no queries_*.cc query plans")
+    server = sorted(
+        path for path in (root / "src/server").rglob("*")
+        if path.suffix in (".h", ".cc")
+    )
+    for path in plans + server:
+        text = strip_comments(read_text(path))
+        for match in SINGLE_WRITER_ACCESSOR_RE.finditer(text):
+            rep.report(
+                path, line_of(text, match.start()), check,
+                f"`.{match.group(1)}()` is a single-writer-phase accessor "
+                f"whose reference dangles at the column's next publish — pin "
+                f"the column once (PinnedColumn / SnapshotStrings) instead",
+            )
+
+
+# ---------------------------------------------------------------------------
 # Endpoint checks: the HTTP exporter's route table <-> docs/observability.md
 
 
@@ -989,6 +1022,7 @@ CHECKS = {
     "nodiscard": check_nodiscard,
     "serving": check_serving,
     "locks": check_locks,
+    "snapshots": check_snapshots,
 }
 
 
