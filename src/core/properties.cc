@@ -5,6 +5,7 @@
 #include <cmath>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "dict/column_bc.h"
@@ -107,20 +108,29 @@ struct RePairResult {
   uint64_t rules = 0;
 };
 
-RePairResult RePairRate(const std::vector<std::string_view>& views,
-                        int symbol_bits) {
-  uint64_t raw = 0;
-  for (std::string_view s : views) raw += s.size();
-  if (raw == 0) return {};
-  auto codec = RePairCodec::Train(symbol_bits, views);
+RePairResult MeasureRePair(const RePairCodec& codec,
+                           const std::vector<std::string_view>& views,
+                           uint64_t raw) {
   BitWriter sink;
   uint64_t bits = 0;
   for (std::string_view s : views) {
-    bits += codec->Encode(s, &sink);
+    bits += codec.Encode(s, &sink);
     sink.Clear();
   }
   return {static_cast<double>(bits) / 8 / static_cast<double>(raw),
-          codec->num_rules()};
+          codec.num_rules()};
+}
+
+/// Re-Pair results at 12 and 16 bits from one training run: the 12-bit
+/// grammar is the first rules of the 16-bit one.
+std::pair<RePairResult, RePairResult> RePairRates(
+    const std::vector<std::string_view>& views) {
+  uint64_t raw = 0;
+  for (std::string_view s : views) raw += s.size();
+  if (raw == 0) return {};
+  const auto rp16 = RePairCodec::Train(16, views);
+  return {MeasureRePair(*rp16->TwelveBitPrefix(), views, raw),
+          MeasureRePair(*rp16, views, raw)};
 }
 
 }  // namespace
@@ -174,8 +184,7 @@ DictionaryProperties SampleProperties(std::span<const std::string> sorted_unique
     props.ng3_coverage = ng3.coverage;
     props.ng2_table_grams = ng2.table_grams;
     props.ng3_table_grams = ng3.table_grams;
-    const RePairResult rp12 = RePairRate(sample, 12);
-    const RePairResult rp16 = RePairRate(sample, 16);
+    const auto [rp12, rp16] = RePairRates(sample);
     props.rp12_rate = rp12.rate;
     props.rp16_rate = rp16.rate;
     props.rp12_rules = rp12.rules;
@@ -232,8 +241,7 @@ DictionaryProperties SampleProperties(std::span<const std::string> sorted_unique
   props.fc_ng3_coverage = fc_ng3.coverage;
   props.fc_ng2_table_grams = fc_ng2.table_grams;
   props.fc_ng3_table_grams = fc_ng3.table_grams;
-  const RePairResult fc_rp12 = RePairRate(fc_suffixes, 12);
-  const RePairResult fc_rp16 = RePairRate(fc_suffixes, 16);
+  const auto [fc_rp12, fc_rp16] = RePairRates(fc_suffixes);
   props.fc_rp12_rate = fc_rp12.rate;
   props.fc_rp16_rate = fc_rp16.rate;
   props.fc_rp12_rules = fc_rp12.rules;

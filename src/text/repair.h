@@ -11,13 +11,53 @@
 #ifndef ADICT_TEXT_REPAIR_H_
 #define ADICT_TEXT_REPAIR_H_
 
+#include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "text/codec.h"
 
 namespace adict {
+
+/// Open-addressing hash map from a symbol pair key (a << 16 | b) to a 32-bit
+/// value, for RePairCodec and its trainer. Entries are never erased.
+class PairMap {
+ public:
+  static constexpr uint32_t kMissing = ~0u;
+
+  static uint32_t Key(uint32_t a, uint32_t b) { return (a << 16) | b; }
+
+  /// The value stored for `key`, or kMissing.
+  uint32_t Find(uint32_t key) const {
+    if (slots_.empty()) return kMissing;
+    for (size_t i = Home(key);; i = (i + 1) & (slots_.size() - 1)) {
+      const uint64_t slot = slots_[i];
+      if (slot == kEmptySlot) return kMissing;
+      if (static_cast<uint32_t>(slot >> 32) == key) {
+        return static_cast<uint32_t>(slot);
+      }
+    }
+  }
+
+  /// The value stored for `key`; stores `value` first if `key` is absent.
+  /// `value` must not be kMissing.
+  uint32_t FindOrInsert(uint32_t key, uint32_t value);
+
+  void Reserve(size_t entries);
+
+ private:
+  static constexpr uint64_t kEmptySlot = ~0ull;  // value kMissing: never stored
+
+  size_t Home(uint32_t key) const {
+    return static_cast<size_t>((key * 0x9e3779b97f4a7c15ull) >> shift_);
+  }
+  void Rehash(size_t capacity);
+
+  std::vector<uint64_t> slots_;  // key << 32 | value
+  size_t size_ = 0;
+  int shift_ = 64;
+};
 
 class RePairCodec final : public StringCodec {
  public:
@@ -41,23 +81,30 @@ class RePairCodec final : public StringCodec {
   int symbol_bits() const { return symbol_bits_; }
   size_t num_rules() const { return rules_.size(); }
 
+  /// The codec Train(12, samples) returns, from a 16-bit codec trained on
+  /// the same samples. Training is one greedy loop that the 12-bit symbol
+  /// space stops after 3840 rules, so its grammar is this one's first rules.
+  std::unique_ptr<RePairCodec> TwelveBitPrefix() const;
+
   /// Expands a single symbol (terminal or rule) to its character string.
   void ExpandSymbol(uint32_t symbol, std::string* out) const;
 
  private:
-  explicit RePairCodec(int symbol_bits) : symbol_bits_(symbol_bits) {}
-
   static constexpr uint32_t kFirstRuleSymbol = 256;
 
-  /// Parses `s` into grammar symbols by replaying rules in creation order
-  /// (most frequent pairs were created first).
+  RePairCodec(int symbol_bits,
+              std::vector<std::pair<uint16_t, uint16_t>> rules);
+
+  /// Parses `s` into grammar symbols: the lowest-numbered rule that applies
+  /// anywhere is applied first, at all its non-overlapping occurrences,
+  /// leftmost first (most frequent pairs were created first).
   void Parse(std::string_view s, std::vector<uint32_t>* symbols) const;
 
   int symbol_bits_;
   // rules_[k] = (left, right) defines symbol 256 + k.
   std::vector<std::pair<uint16_t, uint16_t>> rules_;
-  // (a << 16 | b) -> rule index (not symbol).
-  std::unordered_map<uint32_t, uint32_t> pair_to_rule_;
+  // Pair key -> rule index (not symbol).
+  PairMap pair_to_rule_;
 };
 
 }  // namespace adict

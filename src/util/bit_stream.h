@@ -8,6 +8,7 @@
 #ifndef ADICT_UTIL_BIT_STREAM_H_
 #define ADICT_UTIL_BIT_STREAM_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -21,20 +22,23 @@ class BitWriter {
   BitWriter() = default;
 
   /// Appends the `nbits` low-order bits of `value`, most significant first.
+  /// Fills the current byte, then whole bytes, up to 8 bits per step.
   void WriteBits(uint64_t value, int nbits) {
     ADICT_DCHECK(nbits >= 0 && nbits <= 64);
-    for (int i = nbits - 1; i >= 0; --i) {
-      WriteBit((value >> i) & 1u);
+    while (nbits > 0) {
+      const int used = static_cast<int>(bit_count_ & 7);
+      if (used == 0) bytes_.push_back(0);
+      const int take = std::min(8 - used, nbits);
+      nbits -= take;
+      const unsigned chunk =
+          static_cast<unsigned>(value >> nbits) & ((1u << take) - 1);
+      bytes_.back() |= static_cast<uint8_t>(chunk << (8 - used - take));
+      bit_count_ += take;
     }
   }
 
   /// Appends a single bit (0 or 1).
-  void WriteBit(unsigned bit) {
-    const uint64_t byte_index = bit_count_ >> 3;
-    if (byte_index >= bytes_.size()) bytes_.push_back(0);
-    if (bit) bytes_[byte_index] |= static_cast<uint8_t>(0x80u >> (bit_count_ & 7));
-    ++bit_count_;
-  }
+  void WriteBit(unsigned bit) { WriteBits(bit, 1); }
 
   /// Number of bits written so far.
   uint64_t bit_count() const { return bit_count_; }
@@ -74,12 +78,19 @@ class BitReader {
   }
 
   /// Reads `nbits` bits MSB-first and returns them as the low-order bits of
-  /// the result.
+  /// the result. Moves up to 8 bits per step and touches no byte past the
+  /// one holding the last bit read.
   uint64_t ReadBits(int nbits) {
     ADICT_DCHECK(nbits >= 0 && nbits <= 64);
     uint64_t value = 0;
-    for (int i = 0; i < nbits; ++i) {
-      value = (value << 1) | ReadBit();
+    while (nbits > 0) {
+      const int used = static_cast<int>(pos_ & 7);
+      const int take = std::min(8 - used, nbits);
+      const unsigned chunk =
+          (data_[pos_ >> 3] >> (8 - used - take)) & ((1u << take) - 1);
+      value = (value << take) | chunk;
+      pos_ += take;
+      nbits -= take;
     }
     return value;
   }

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/compression_manager.h"
@@ -15,6 +16,9 @@
 #include "core/tradeoff.h"
 #include "datasets/generators.h"
 #include "dict/dictionary.h"
+#include "dict/front_coding.h"
+#include "text/repair.h"
+#include "util/bit_stream.h"
 
 namespace adict {
 namespace {
@@ -72,6 +76,54 @@ TEST(Properties, FrontCodingSeesSuffixSavings) {
   // Difference-to-first stores at least as many characters as chained
   // differences.
   EXPECT_GE(props.fc_df_raw_chars, props.fc_raw_chars);
+}
+
+/// Re-Pair payload ratio and rule count of a `symbol_bits` grammar trained
+/// on `views` alone.
+std::pair<double, uint64_t> SeparateRePair(
+    int symbol_bits, const std::vector<std::string_view>& views) {
+  auto codec = RePairCodec::Train(symbol_bits, views);
+  BitWriter sink;
+  uint64_t raw = 0;
+  uint64_t bits = 0;
+  for (std::string_view s : views) {
+    raw += s.size();
+    bits += codec->Encode(s, &sink);
+  }
+  return {static_cast<double>(bits) / 8 / static_cast<double>(raw),
+          codec->num_rules()};
+}
+
+TEST(Properties, TwelveBitRePairMatchesSeparateTraining) {
+  // At most 5000 entries: the sample is the whole dictionary, in order, so
+  // the 12-bit figures (taken from the 16-bit training's first rules) must
+  // equal those of a 12-bit grammar trained on its own. "src" exceeds the
+  // 12-bit symbol space; "url" does not.
+  for (const char* name : {"src", "url"}) {
+    const std::vector<std::string> sorted =
+        GenerateSurveyDataset(name, 3000, 7);
+    const DictionaryProperties props =
+        SampleProperties(sorted, SamplingConfig::Default());
+    ASSERT_DOUBLE_EQ(props.sampled_fraction, 1.0);
+
+    const std::vector<std::string_view> strings(sorted.begin(), sorted.end());
+    const auto [rate, rules] = SeparateRePair(12, strings);
+    EXPECT_EQ(props.rp12_rate, rate) << name;
+    EXPECT_EQ(props.rp12_rules, rules) << name;
+
+    std::vector<std::string_view> suffixes;
+    for (size_t i = 0; i < sorted.size(); ++i) {
+      const uint32_t prefix =
+          i % FcBlockDict::kBlockSize == 0
+              ? 0
+              : std::min(CommonPrefixLength(sorted[i - 1], sorted[i]),
+                         FcBlockDict::kMaxPrefixLength);
+      suffixes.push_back(std::string_view(sorted[i]).substr(prefix));
+    }
+    const auto [fc_rate, fc_rules] = SeparateRePair(12, suffixes);
+    EXPECT_EQ(props.fc_rp12_rate, fc_rate) << name;
+    EXPECT_EQ(props.fc_rp12_rules, fc_rules) << name;
+  }
 }
 
 // -- Size model ---------------------------------------------------------------

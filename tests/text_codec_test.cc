@@ -7,8 +7,11 @@
 #include <memory>
 #include <numeric>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "datasets/generators.h"
 #include "text/bit_compress.h"
 #include "text/codec.h"
 #include "text/ngram.h"
@@ -16,6 +19,7 @@
 #include "text/repair.h"
 #include "util/bit_stream.h"
 #include "util/rng.h"
+#include "util/serde.h"
 
 namespace adict {
 namespace {
@@ -404,6 +408,224 @@ TEST(RePair, OverlappingPairsHandled) {
   for (int bits : {12, 16}) {
     auto codec = RePairCodec::Train(bits, Views(strings));
     ExpectRoundtrip(*codec, strings);
+  }
+}
+
+// -- Re-Pair golden grammars -------------------------------------------------
+//
+// The grammar a training run produces feeds the size model, the format
+// decision and every stored rp12/rp16 payload, so it is pinned bit for bit:
+// the serialized rules and the encoded streams of fixed seeded inputs must
+// hash to recorded constants.
+
+struct GoldenInput {
+  const char* name;
+  std::vector<std::string> strings;
+};
+
+std::vector<GoldenInput> GoldenInputs() {
+  std::vector<GoldenInput> inputs;
+  for (const char* name : {"url", "engl", "src", "asc"}) {
+    inputs.push_back({name, GenerateSurveyDataset(name, 3000, 7)});
+  }
+  // Runs of one character: every pair overlaps its neighbours.
+  GoldenInput runs{"runs", {}};
+  for (int i = 1; i <= 100; ++i) runs.strings.push_back(std::string(i, 'a'));
+  inputs.push_back(std::move(runs));
+  return inputs;
+}
+
+struct Fnv1a {
+  uint64_t hash = 14695981039346656037ull;
+  void Add(const uint8_t* data, size_t size) {
+    for (size_t i = 0; i < size; ++i) {
+      hash = (hash ^ data[i]) * 1099511628211ull;
+    }
+  }
+  void Add(uint64_t value) {
+    uint8_t bytes[8];
+    for (int i = 0; i < 8; ++i) {
+      bytes[i] = static_cast<uint8_t>(value >> (8 * i));
+    }
+    Add(bytes, sizeof(bytes));
+  }
+};
+
+std::vector<std::pair<uint16_t, uint16_t>> RulesOf(const RePairCodec& codec) {
+  std::vector<uint8_t> bytes;
+  ByteWriter writer(&bytes);
+  codec.Serialize(&writer);
+  ByteReader reader(bytes.data(), bytes.size());
+  reader.Read<uint16_t>();  // kind tag
+  std::vector<std::pair<uint16_t, uint16_t>> rules;
+  for (uint32_t packed : reader.ReadVector<uint32_t>()) {
+    rules.emplace_back(packed >> 16, packed & 0xffff);
+  }
+  return rules;
+}
+
+/// Digest of the serialized grammar and of every string's encoding.
+uint64_t GrammarAndCodesDigest(const RePairCodec& codec,
+                               const std::vector<std::string>& strings) {
+  Fnv1a fnv;
+  std::vector<uint8_t> grammar;
+  ByteWriter grammar_writer(&grammar);
+  codec.Serialize(&grammar_writer);
+  fnv.Add(grammar.data(), grammar.size());
+  BitWriter codes;
+  for (const std::string& s : strings) fnv.Add(codec.Encode(s, &codes));
+  fnv.Add(codes.bit_count());
+  fnv.Add(codes.bytes().data(), codes.bytes().size());
+  return fnv.hash;
+}
+
+/// Reference parse: replays the rules round by round, each round applying
+/// the lowest-numbered rule whose pair occurs anywhere to all of its
+/// non-overlapping occurrences, leftmost first.
+class ReplayParser {
+ public:
+  explicit ReplayParser(std::vector<std::pair<uint16_t, uint16_t>> rules)
+      : rules_(std::move(rules)) {
+    for (size_t k = 0; k < rules_.size(); ++k) {
+      pair_to_rule_.emplace(Key(rules_[k].first, rules_[k].second),
+                            static_cast<uint32_t>(k));
+    }
+  }
+
+  std::vector<uint32_t> Parse(std::string_view s) const {
+    std::vector<uint32_t> symbols;
+    for (unsigned char ch : s) symbols.push_back(ch);
+    while (symbols.size() >= 2) {
+      uint32_t best = ~0u;
+      for (size_t i = 0; i + 1 < symbols.size(); ++i) {
+        const auto it = pair_to_rule_.find(Key(symbols[i], symbols[i + 1]));
+        if (it != pair_to_rule_.end()) best = std::min(best, it->second);
+      }
+      if (best == ~0u) break;
+      const auto [a, b] = rules_[best];
+      size_t out = 0;
+      for (size_t i = 0; i < symbols.size();) {
+        if (i + 1 < symbols.size() && symbols[i] == a && symbols[i + 1] == b) {
+          symbols[out++] = 256 + best;
+          i += 2;
+        } else {
+          symbols[out++] = symbols[i++];
+        }
+      }
+      symbols.resize(out);
+    }
+    return symbols;
+  }
+
+ private:
+  static uint32_t Key(uint32_t a, uint32_t b) { return a << 16 | b; }
+
+  std::vector<std::pair<uint16_t, uint16_t>> rules_;
+  std::unordered_map<uint32_t, uint32_t> pair_to_rule_;
+};
+
+TEST(RePair, GrammarAndCodesMatchRecordedDigest) {
+  // Recorded at commit 891da79, with the hash-map trainer and round-by-round
+  // replay parse that the indexed-heap trainer and heap-driven parse
+  // replaced; {rp12, rp16} per input.
+  const std::vector<std::pair<const char*, std::array<uint64_t, 2>>> kDigests =
+      {
+          {"url", {0x54aba1c21b7410aeull, 0xec90b0de23ea0a54ull}},
+          {"engl", {0x53d31b3f2f96f525ull, 0xee3c841b4cf5cbbdull}},
+          {"src", {0x5601e881948247a3ull, 0x7aca5682d713962cull}},
+          {"asc", {0x9c54885b1598d227ull, 0x0b6e105074d7b5b5ull}},
+          {"runs", {0x0aca246694e7ea73ull, 0xc9778c608c5a8a79ull}},
+      };
+  const std::vector<GoldenInput> inputs = GoldenInputs();
+  ASSERT_EQ(inputs.size(), kDigests.size());
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    ASSERT_STREQ(inputs[i].name, kDigests[i].first);
+    for (int k = 0; k < 2; ++k) {
+      const int bits = k == 0 ? 12 : 16;
+      auto codec = RePairCodec::Train(bits, Views(inputs[i].strings));
+      const uint64_t digest = GrammarAndCodesDigest(*codec, inputs[i].strings);
+      EXPECT_EQ(digest, kDigests[i].second[k])
+          << inputs[i].name << " rp" << bits;
+    }
+  }
+}
+
+TEST(RePair, EncodeMatchesReplayParse) {
+  for (const GoldenInput& input : GoldenInputs()) {
+    for (int bits : {12, 16}) {
+      auto codec = RePairCodec::Train(bits, Views(input.strings));
+      const ReplayParser replay(RulesOf(*codec));
+      for (const std::string& s : input.strings) {
+        const std::vector<uint32_t> expected = replay.Parse(s);
+        BitWriter writer;
+        ASSERT_EQ(codec->Encode(s, &writer), expected.size() * bits);
+        BitReader reader(writer.bytes().data(), 0);
+        for (uint32_t sym : expected) {
+          ASSERT_EQ(reader.ReadBits(bits), sym)
+              << input.name << " rp" << bits << " \"" << s << "\"";
+        }
+      }
+    }
+  }
+}
+
+TEST(RePair, TwelveBitGrammarIsPrefixOfSixteenBit) {
+  // Training is one greedy loop; the 12-bit symbol space only stops it
+  // after 3840 rules.
+  for (const GoldenInput& input : GoldenInputs()) {
+    const auto rules12 = RulesOf(*RePairCodec::Train(12, Views(input.strings)));
+    const auto rules16 = RulesOf(*RePairCodec::Train(16, Views(input.strings)));
+    const size_t prefix = std::min<size_t>(4096 - 256, rules16.size());
+    ASSERT_EQ(rules12.size(), prefix) << input.name;
+    EXPECT_TRUE(std::equal(rules12.begin(), rules12.end(), rules16.begin()))
+        << input.name;
+  }
+}
+
+std::unique_ptr<StringCodec> DeserializeRePair16(
+    const std::vector<uint32_t>& packed_rules) {
+  std::vector<uint8_t> bytes;
+  ByteWriter writer(&bytes);
+  writer.Write<uint16_t>(static_cast<uint16_t>(CodecKind::kRePair16));
+  writer.WriteVector(packed_rules);
+  ByteReader reader(bytes.data(), bytes.size());
+  return DeserializeCodec(&reader);
+}
+
+TEST(RePair, DeepGrammarsExpandWithoutRecursion) {
+  // Chains of 5000 rules: the left-deep one keeps one pending right child
+  // per level, far beyond any inline expansion stack.
+  constexpr uint32_t kRules = 5000;
+  auto letter = [](uint32_t k) { return static_cast<char>('a' + k % 26); };
+  std::vector<uint32_t> left_deep{uint32_t{'a'} << 16 | 'b'};
+  std::vector<uint32_t> right_deep{uint32_t{'a'} << 16 | 'b'};
+  std::string left_expected = "ab";
+  std::string right_expected = "ab";
+  for (uint32_t k = 1; k < kRules; ++k) {
+    const uint32_t child = 256 + k - 1;
+    left_deep.push_back(child << 16 | static_cast<uint32_t>(letter(k)));
+    right_deep.push_back(static_cast<uint32_t>(letter(k)) << 16 | child);
+    left_expected.push_back(letter(k));
+    right_expected.insert(right_expected.begin(), letter(k));
+  }
+  const uint32_t top = 256 + kRules - 1;
+  for (const auto& [packed, expected] :
+       {std::pair{&left_deep, &left_expected},
+        std::pair{&right_deep, &right_expected}}) {
+    auto codec = DeserializeRePair16(*packed);
+    ASSERT_NE(codec, nullptr);
+    const auto& repair = static_cast<const RePairCodec&>(*codec);
+    ASSERT_EQ(repair.num_rules(), kRules);
+    std::string expansion = "x";
+    repair.ExpandSymbol(top, &expansion);
+    EXPECT_EQ(expansion, "x" + *expected);
+
+    BitWriter writer;
+    writer.WriteBits(top, 16);
+    BitReader reader(writer.bytes().data(), 0);
+    std::string decoded;
+    repair.Decode(&reader, 16, &decoded);
+    EXPECT_EQ(decoded, *expected);
   }
 }
 

@@ -1,7 +1,10 @@
 // Unit tests for the utility layer: bit streams, varints, RNG, Zipf, SHA-256.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -69,6 +72,57 @@ TEST(BitStream, RandomizedRoundtrip) {
     BitReader reader(writer.bytes().data(), 0);
     for (const auto& [value, nbits] : values) {
       ASSERT_EQ(reader.ReadBits(nbits), value);
+    }
+  }
+}
+
+/// Bit-at-a-time reference for BitWriter's MSB-first layout.
+void ReferenceWriteBits(uint64_t value, int nbits, uint64_t* bit_count,
+                        std::vector<uint8_t>* bytes) {
+  for (int i = nbits - 1; i >= 0; --i, ++*bit_count) {
+    if ((*bit_count & 7) == 0) bytes->push_back(0);
+    if ((value >> i) & 1) bytes->back() |= 0x80 >> (*bit_count & 7);
+  }
+}
+
+TEST(BitStream, EveryWidthAtEveryOffsetMatchesBitAtATimeReference) {
+  Rng rng(17);
+  for (int offset = 0; offset < 16; ++offset) {
+    for (int width = 1; width <= 64; ++width) {
+      // A prefix of `offset` bits, then three values of `width` bits; the
+      // values carry garbage above their low `width` bits.
+      const uint64_t prefix = rng.Next();
+      const std::array<uint64_t, 3> values = {rng.Next(), rng.Next(), ~0ull};
+      BitWriter writer;
+      std::vector<uint8_t> expected;
+      uint64_t expected_bits = 0;
+      writer.WriteBits(prefix, offset);
+      ReferenceWriteBits(prefix, offset, &expected_bits, &expected);
+      for (uint64_t value : values) {
+        writer.WriteBits(value, width);
+        ReferenceWriteBits(value, width, &expected_bits, &expected);
+      }
+      ASSERT_EQ(writer.bit_count(), expected_bits);
+      ASSERT_EQ(writer.bytes(), expected) << "offset " << offset << " width "
+                                          << width;
+
+      // Read back from a heap buffer of exactly ceil(bits / 8) bytes, so a
+      // read past the last needed byte is a heap overflow under ASan.
+      const size_t size = (expected_bits + 7) / 8;
+      auto buffer = std::make_unique<uint8_t[]>(size);
+      std::copy(expected.begin(), expected.end(), buffer.get());
+      const uint64_t mask = width == 64 ? ~0ull : (1ull << width) - 1;
+      BitReader reader(buffer.get(), offset);
+      for (uint64_t value : values) {
+        ASSERT_EQ(reader.ReadBits(width), value & mask)
+            << "offset " << offset << " width " << width;
+      }
+      ASSERT_EQ(reader.position(), expected_bits);
+      if (offset > 0) {
+        BitReader prefix_reader(buffer.get(), 0);
+        ASSERT_EQ(prefix_reader.ReadBits(offset),
+                  prefix & ((1ull << offset) - 1));
+      }
     }
   }
 }
