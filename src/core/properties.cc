@@ -108,29 +108,28 @@ struct RePairResult {
   uint64_t rules = 0;
 };
 
-RePairResult MeasureRePair(const RePairCodec& codec,
-                           const std::vector<std::string_view>& views,
-                           uint64_t raw) {
-  BitWriter sink;
-  uint64_t bits = 0;
-  for (std::string_view s : views) {
-    bits += codec.Encode(s, &sink);
-    sink.Clear();
-  }
-  return {static_cast<double>(bits) / 8 / static_cast<double>(raw),
-          codec.num_rules()};
-}
-
-/// Re-Pair results at 12 and 16 bits from one training run: the 12-bit
-/// grammar is the first rules of the 16-bit one.
+/// Re-Pair results at 12 and 16 bits from one training run and one parse
+/// per string: the 12-bit grammar is the first rules of the 16-bit one.
 std::pair<RePairResult, RePairResult> RePairRates(
     const std::vector<std::string_view>& views) {
   uint64_t raw = 0;
   for (std::string_view s : views) raw += s.size();
   if (raw == 0) return {};
   const auto rp16 = RePairCodec::Train(16, views);
-  return {MeasureRePair(*rp16->TwelveBitPrefix(), views, raw),
-          MeasureRePair(*rp16, views, raw)};
+  uint64_t bits12 = 0;
+  uint64_t bits16 = 0;
+  for (std::string_view s : views) {
+    const auto [b12, b16] = rp16->EncodedBitsAt12And16(s);
+    bits12 += b12;
+    bits16 += b16;
+  }
+  const auto rate = [raw](uint64_t bits) {
+    return static_cast<double>(bits) / 8 / static_cast<double>(raw);
+  };
+  const uint64_t rules = rp16->num_rules();
+  return {
+      {rate(bits12), std::min<uint64_t>(rules, RePairCodec::kTwelveBitRules)},
+      {rate(bits16), rules}};
 }
 
 }  // namespace

@@ -1,6 +1,10 @@
 #include "engine/join.h"
 
+#include <algorithm>
+#include <ranges>
+
 #include "engine/parallel.h"
+#include "util/check.h"
 
 namespace adict {
 
@@ -10,11 +14,48 @@ std::vector<uint32_t> MapDictionary(const StringColumn& from,
     return ParallelMapDictionary(from, to);
   }
   std::vector<uint32_t> mapping(from.num_distinct(), kNoMatch);
-  for (uint32_t id = 0; id < from.num_distinct(); ++id) {
-    const LocateResult r = to.Locate(from.ExtractId(id));
-    if (r.found) mapping[id] = r.id;
-  }
+  MapDictionaryRange(from, 0, from.num_distinct(), DecodedDictionary(to),
+                     mapping);
   return mapping;
+}
+
+DecodedDictionary::DecodedDictionary(const StringColumn& column) {
+  offsets_.reserve(static_cast<size_t>(column.num_distinct()) + 1);
+  column.ScanDictionary(
+      0, column.num_distinct(), [this](uint32_t, std::string_view value) {
+        // The merge relies on the order every format preserves.
+        ADICT_DCHECK(size() == 0 || (*this)[size() - 1] < value);
+        arena_.append(value);
+        offsets_.push_back(arena_.size());
+      });
+}
+
+uint32_t DecodedDictionary::LowerBound(std::string_view value) const {
+  const auto ids = std::views::iota(uint32_t{0}, size());
+  const auto it = std::ranges::partition_point(
+      ids, [&](uint32_t id) { return (*this)[id] < value; });
+  return static_cast<uint32_t>(it - ids.begin());
+}
+
+void MapDictionaryRange(const StringColumn& from, uint32_t begin,
+                        uint32_t end, const DecodedDictionary& to,
+                        std::span<uint32_t> mapping) {
+  if (begin >= end) return;
+  uint32_t cursor = 0;
+  [[maybe_unused]] std::string previous;  // for the debug order check
+  from.ScanDictionary(
+      begin, end - begin, [&](uint32_t id, std::string_view value) {
+        if (id == begin) {
+          cursor = to.LowerBound(value);
+        } else {
+          ADICT_DCHECK(previous < value);
+        }
+#ifndef NDEBUG
+        previous.assign(value);
+#endif
+        while (cursor < to.size() && to[cursor] < value) ++cursor;
+        if (cursor < to.size() && to[cursor] == value) mapping[id] = cursor;
+      });
 }
 
 IdIndex::IdIndex(const StringColumn& column)

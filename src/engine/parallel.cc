@@ -66,8 +66,8 @@ void RunMorsels(const char* span_name, ThreadPool& pool, uint64_t items,
 /// op on the column's heat slot with the proportional share of the packed
 /// vector as bytes. They compare packed IDs without touching the
 /// dictionary, so they stay out of the usage trace. The dictionary drivers
-/// (contains, map_dict) make no driver-level record: their ScanDictionary /
-/// Locate / ExtractId calls already record through the column.
+/// (contains, map_dict) make no driver-level record: their ScanDictionary
+/// calls already record through the column.
 template <typename Fn>
 void RunRowMorsels(const char* span_name, ThreadPool& pool,
                    const StringColumn& column, uint64_t rows, const Fn& fn) {
@@ -207,16 +207,15 @@ std::vector<uint32_t> ParallelMapDictionary(const StringColumn& from,
                                             ThreadPool* pool) {
   ThreadPool& p = EffectivePool(pool);
   const uint64_t n = from.num_distinct();
+  const DecodedDictionary decoded_to(to);
   // Morsels write disjoint uint32_t slots of the shared mapping: no two
   // morsels touch the same element, so no synchronization is needed.
   std::vector<uint32_t> mapping(n, kNoMatch);
   RunMorsels("engine.parallel.map_dict", p, n, kMorselDictEntries,
              [&](uint64_t begin, uint64_t end) {
-               for (uint64_t id = begin; id < end; ++id) {
-                 const LocateResult r =
-                     to.Locate(from.ExtractId(static_cast<uint32_t>(id)));
-                 if (r.found) mapping[id] = r.id;
-               }
+               MapDictionaryRange(from, static_cast<uint32_t>(begin),
+                                  static_cast<uint32_t>(end), decoded_to,
+                                  mapping);
              });
   return mapping;
 }

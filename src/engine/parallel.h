@@ -12,8 +12,9 @@
 // value-ID ranges once by the caller (one or two Locate calls), and the
 // morsels then compare bit-packed IDs without touching the dictionary, so
 // a parallel scan traces exactly the dictionary accesses the serial scan
-// does. Dictionary-scan drivers (ParallelContainsAllIds) split the entry
-// range, so their per-morsel extract counts sum to the serial count.
+// does. Dictionary-scan drivers (ParallelContainsAllIds,
+// ParallelMapDictionary) split the entry range, so their per-morsel scan
+// counts sum to the serial count.
 // docs/parallelism.md states the full contract.
 //
 // The serial entry points in scan.h / predicates.h / join.h dispatch here
@@ -41,10 +42,10 @@ namespace adict {
 /// lane of an 8-way pool with head-room for stealing.
 inline constexpr uint64_t kMorselRows = 64 * 1024;
 
-/// Entries per morsel for dictionary scans and dictionary mapping. Extract
-/// and locate cost tens to hundreds of nanoseconds per entry — two orders
-/// of magnitude more than a vector scan touch — so morsels are smaller to
-/// keep lanes balanced on skewed dictionaries.
+/// Entries per morsel for dictionary scans and dictionary mapping. Decoding
+/// an entry costs tens to hundreds of nanoseconds — two orders of magnitude
+/// more than a vector scan touch — so morsels are smaller to keep lanes
+/// balanced on skewed dictionaries.
 inline constexpr uint64_t kMorselDictEntries = 8 * 1024;
 
 /// The pool the drivers use: `pool` if given, else the process-wide Pool().
@@ -83,9 +84,9 @@ std::vector<bool> ParallelContainsAllIds(
     const StringColumn& column, std::span<const std::string_view> needles,
     ThreadPool* pool = nullptr);
 
-/// Parallel MapDictionary (join build side): each morsel of `from`'s ID
-/// space extracts and locates its entries, writing disjoint slots of the
-/// mapping. Extract/locate usage counts equal the serial pass.
+/// Parallel MapDictionary (join build side): `to` is decoded once, then each
+/// morsel of `from`'s ID space runs MapDictionaryRange, writing disjoint
+/// slots of the mapping. Scan usage counts equal the serial pass's.
 std::vector<uint32_t> ParallelMapDictionary(const StringColumn& from,
                                             const StringColumn& to,
                                             ThreadPool* pool = nullptr);

@@ -314,14 +314,6 @@ std::unique_ptr<RePairCodec> RePairCodec::Train(
       new RePairCodec(symbol_bits, Trainer(samples).Run(max_rules)));
 }
 
-std::unique_ptr<RePairCodec> RePairCodec::TwelveBitPrefix() const {
-  ADICT_CHECK(symbol_bits_ == 16);
-  const size_t kept =
-      std::min<size_t>(rules_.size(), (1u << 12) - kFirstRuleSymbol);
-  return std::unique_ptr<RePairCodec>(
-      new RePairCodec(12, {rules_.begin(), rules_.begin() + kept}));
-}
-
 std::unique_ptr<RePairCodec> RePairCodec::Deserialize(int symbol_bits,
                                                       ByteReader* in) {
   const std::vector<uint32_t> packed = in->ReadVector<uint32_t>();
@@ -345,8 +337,8 @@ void RePairCodec::Serialize(ByteWriter* out) const {
   out->WriteVector(packed);
 }
 
-void RePairCodec::Parse(std::string_view s,
-                        std::vector<uint32_t>* symbols) const {
+void RePairCodec::Parse(std::string_view s, std::vector<uint32_t>* symbols,
+                        size_t* twelve_bit_symbols) const {
   // The symbols form a linked list over the input positions; a replacement
   // merges a node with its successor. A min-heap of (rule, position) holds
   // every adjacent pair that has a rule (entries go stale when a neighbor
@@ -374,11 +366,16 @@ void RePairCodec::Parse(std::string_view s,
     std::push_heap(heap.begin(), heap.end(), std::greater<>());
   };
   for (int32_t i = 0; i + 1 < n; ++i) push(i);
+  size_t num_symbols = static_cast<size_t>(n);
   while (!heap.empty()) {
     std::pop_heap(heap.begin(), heap.end(), std::greater<>());
     const uint32_t rule = static_cast<uint32_t>(heap.back() >> 32);
     const int32_t p = static_cast<int32_t>(static_cast<uint32_t>(heap.back()));
     heap.pop_back();
+    if (rule >= kTwelveBitRules && twelve_bit_symbols != nullptr) {
+      *twelve_bit_symbols = num_symbols;
+      twelve_bit_symbols = nullptr;
+    }
     const int32_t q = nodes[p].next;
     if (q >= n || nodes[p].symbol != rules_[rule].first ||
         nodes[q].symbol != rules_[rule].second) {
@@ -386,6 +383,7 @@ void RePairCodec::Parse(std::string_view s,
     }
     nodes[p].symbol = kFirstRuleSymbol + rule;
     nodes[q].symbol = kMerged;
+    --num_symbols;
     nodes[p].next = nodes[q].next;
     if (nodes[p].next < n) {
       nodes[nodes[p].next].prev = p;
@@ -394,6 +392,7 @@ void RePairCodec::Parse(std::string_view s,
     if (nodes[p].prev >= 0) push(nodes[p].prev);
   }
 
+  if (twelve_bit_symbols != nullptr) *twelve_bit_symbols = num_symbols;
   symbols->clear();
   for (int32_t i = 0; i < n; i = nodes[i].next) {
     symbols->push_back(nodes[i].symbol);
@@ -408,6 +407,15 @@ uint64_t RePairCodec::Encode(std::string_view s, BitWriter* out) const {
     out->WriteBits(sym, symbol_bits_);
   }
   return static_cast<uint64_t>(symbols.size()) * symbol_bits_;
+}
+
+std::pair<uint64_t, uint64_t> RePairCodec::EncodedBitsAt12And16(
+    std::string_view s) const {
+  ADICT_CHECK(symbol_bits_ == 16);
+  std::vector<uint32_t> symbols;
+  size_t twelve_bit_symbols = 0;
+  Parse(s, &symbols, &twelve_bit_symbols);
+  return {uint64_t{twelve_bit_symbols} * 12, uint64_t{symbols.size()} * 16};
 }
 
 void RePairCodec::ExpandSymbol(uint32_t symbol, std::string* out) const {

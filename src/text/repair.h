@@ -61,6 +61,9 @@ class PairMap {
 
 class RePairCodec final : public StringCodec {
  public:
+  /// Rules that fit the 12-bit symbol space (after the 256 terminals).
+  static constexpr size_t kTwelveBitRules = (1u << 12) - 256;
+
   /// Trains a Re-Pair grammar over `samples`. `symbol_bits` is 12 or 16.
   static std::unique_ptr<RePairCodec> Train(
       int symbol_bits, const std::vector<std::string_view>& samples);
@@ -81,10 +84,13 @@ class RePairCodec final : public StringCodec {
   int symbol_bits() const { return symbol_bits_; }
   size_t num_rules() const { return rules_.size(); }
 
-  /// The codec Train(12, samples) returns, from a 16-bit codec trained on
-  /// the same samples. Training is one greedy loop that the 12-bit symbol
-  /// space stops after 3840 rules, so its grammar is this one's first rules.
-  std::unique_ptr<RePairCodec> TwelveBitPrefix() const;
+  /// Encoded bit lengths of `s` under Train(12, samples) and under this
+  /// codec, trained as Train(16, samples), from one parse. Training is one
+  /// greedy loop that the 12-bit symbol space stops after 3840 rules, so
+  /// the 12-bit grammar is this one's first rules, and Parse applies rules
+  /// in creation order: the 12-bit parse is this parse stopped before its
+  /// first rule >= 3840.
+  std::pair<uint64_t, uint64_t> EncodedBitsAt12And16(std::string_view s) const;
 
   /// Expands a single symbol (terminal or rule) to its character string.
   void ExpandSymbol(uint32_t symbol, std::string* out) const;
@@ -97,8 +103,11 @@ class RePairCodec final : public StringCodec {
 
   /// Parses `s` into grammar symbols: the lowest-numbered rule that applies
   /// anywhere is applied first, at all its non-overlapping occurrences,
-  /// leftmost first (most frequent pairs were created first).
-  void Parse(std::string_view s, std::vector<uint32_t>* symbols) const;
+  /// leftmost first (most frequent pairs were created first). If
+  /// `twelve_bit_symbols` is set, it receives the symbol count at the first
+  /// rule outside the 12-bit symbol space (the final count if none applies).
+  void Parse(std::string_view s, std::vector<uint32_t>* symbols,
+             size_t* twelve_bit_symbols = nullptr) const;
 
   int symbol_bits_;
   // rules_[k] = (left, right) defines symbol 256 + k.

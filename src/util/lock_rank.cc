@@ -184,12 +184,15 @@ void OnAcquire(LockRank rank, const char* name) {
         out << LockRankName(static_cast<LockRank>(r)) << " -> ";
       }
       out << LockRankName(rank) << "\n";
-      const auto edge = TheGraph().edges.find(
-          {static_cast<int>(path[0]), static_cast<int>(path[1])});
-      if (edge != TheGraph().edges.end()) {
-        out << "  the opposite order was first established while "
-               "holding:\n"
-            << edge->second;
+      // An equal-rank acquisition finds the one-element path {rank}: there
+      // is no recorded opposite edge to print.
+      if (path.size() >= 2) {
+        const auto edge = TheGraph().edges.find({path[0], path[1]});
+        if (edge != TheGraph().edges.end()) {
+          out << "  the opposite order was first established while "
+                 "holding:\n"
+              << edge->second;
+        }
       }
       break;
     }

@@ -22,6 +22,7 @@
 #include "engine/parallel.h"
 #include "engine/predicates.h"
 #include "engine/scan.h"
+#include "obs/workload_profiler.h"
 #include "store/delta.h"
 #include "store/string_column.h"
 #include "tpch/dbgen.h"
@@ -218,6 +219,91 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
+// -- MapDictionary's merge against the point-lookup oracle --------------------
+
+/// The mapping by one extract on `from` and one locate on `to` per value.
+std::vector<uint32_t> PointLookupMapping(const StringColumn& from,
+                                         const StringColumn& to) {
+  std::vector<uint32_t> mapping(from.num_distinct(), kNoMatch);
+  for (uint32_t id = 0; id < from.num_distinct(); ++id) {
+    const LocateResult r = to.Locate(from.ExtractId(id));
+    if (r.found) mapping[id] = r.id;
+  }
+  return mapping;
+}
+
+struct MapCase {
+  std::string name;
+  std::vector<std::string> from;
+  std::vector<std::string> to;
+};
+
+std::vector<MapCase> MapCases() {
+  std::vector<MapCase> cases;
+  const std::vector<std::string> words = {"apple", "banana", "cherry",
+                                          "date", "elder", "fig"};
+  cases.push_back({"empty_from", {}, words});
+  cases.push_back({"empty_to", words, {}});
+  cases.push_back({"disjoint", {"a1", "a2", "c1", "e5"}, {"b1", "b2", "d7"}});
+  cases.push_back({"from_subset_of_to", {"banana", "date", "fig"}, words});
+  cases.push_back({"to_subset_of_from", words, {"apple", "cherry", "elder"}});
+  cases.push_back({"prefix_pairs",
+                   {"", "a", "abc", "b", "ba", "bcd"},
+                   {"a", "ab", "abcd", "b", "bb", "bc"}});
+  // Bytes >= 0x80 must sort after ASCII, as unsigned bytes.
+  cases.push_back({"high_bytes",
+                   {"a\x7f", "a\x80", "a\xff", "\xc3\xa9t\xc3\xa9", "z"},
+                   {"a", "a\x80", "a\x80\x80", "a\xff", "\xc3\xa9t\xc3\xa9"}});
+  cases.push_back({"single_entry_match", {"only"}, {"only"}});
+  cases.push_back({"single_entry_miss", {"only"}, {"other"}});
+  // 20000 distinct `from` values span three dictionary morsels; the merge
+  // restarts by binary search at each morsel's first value. Unpadded
+  // numbers and repeated suffixes mix lengths and shared prefixes.
+  MapCase large{"three_morsels", {}, {}};
+  const auto value = [](int i) {
+    return "key_" + std::to_string(i) + std::string(i % 3, 'x');
+  };
+  for (int i = 0; i < 20000; ++i) large.from.push_back(value(3 * i));
+  for (int i = 0; i < 15000; ++i) large.to.push_back(value(2 * i));
+  EXPECT_GT(large.from.size(), 2 * kMorselDictEntries);
+  cases.push_back(std::move(large));
+  return cases;
+}
+
+class MapDictionaryOracleTest : public ::testing::TestWithParam<DictFormat> {
+};
+
+TEST_P(MapDictionaryOracleTest, MergeEqualsPointLookups) {
+  ThreadPool pool1(1);
+  ThreadPool pool2(2);
+  ThreadPool pool4(4);
+  for (const MapCase& c : MapCases()) {
+    const StringColumn from = StringColumn::FromValues(c.from, GetParam());
+    for (DictFormat to_format : {DictFormat::kArray, DictFormat::kFcInline,
+                                 DictFormat::kFcBlockRp16,
+                                 DictFormat::kColumnBc}) {
+      const StringColumn to = StringColumn::FromValues(c.to, to_format);
+      const std::vector<uint32_t> expected = PointLookupMapping(from, to);
+      const std::string where =
+          c.name + " onto " + std::string(DictFormatName(to_format));
+      EXPECT_EQ(MapDictionary(from, to), expected) << where;
+      for (ThreadPool* pool : {&pool1, &pool2, &pool4}) {
+        EXPECT_EQ(ParallelMapDictionary(from, to, pool), expected)
+            << where << " at width " << pool->parallelism();
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllFromFormats, MapDictionaryOracleTest,
+    ::testing::ValuesIn(AllDictFormats().begin(), AllDictFormats().end()),
+    [](const ::testing::TestParamInfo<DictFormat>& info) {
+      std::string name(DictFormatName(info.param));
+      std::replace(name.begin(), name.end(), ' ', '_');
+      return name;
+    });
+
 // -- Usage accounting is per scan, not per morsel -----------------------------
 
 TEST(ParallelUsageTest, VectorScansTouchNoDictionaryAtAnyParallelism) {
@@ -252,16 +338,34 @@ TEST(ParallelUsageTest, DictionaryScansCountExactlyTheSerialAccesses) {
   EXPECT_EQ(parallel_col.TracedUsage(1.0).num_extracts,
             serial_col.TracedUsage(1.0).num_extracts);
 
-  // MapDictionary: one extract on `from` and one locate on `to` per
-  // distinct value, regardless of morsel count.
+  // MapDictionary: `from` and `to` each record num_distinct dictionary-scan
+  // entries, and no singleton extract or locate, at every pool width and
+  // morsel count (20000 `from` entries span three morsels).
+  StringColumn from =
+      StringColumn::FromValues(MakeValues(20000, 20000), DictFormat::kFcBlock);
   StringColumn to =
       StringColumn::FromValues(MakeValues(1000, 2000), DictFormat::kArray);
-  parallel_col.ResetUsage();
-  to.ResetUsage();
-  (void)ParallelMapDictionary(parallel_col, to, &pool);
-  EXPECT_EQ(parallel_col.TracedUsage(1.0).num_extracts,
-            parallel_col.num_distinct());
-  EXPECT_EQ(to.TracedUsage(1.0).num_locates, parallel_col.num_distinct());
+  obs::ColumnHeat* from_slot =
+      obs::Profiler().GetColumn("parallel_usage.map_from");
+  obs::ColumnHeat* to_slot = obs::Profiler().GetColumn("parallel_usage.map_to");
+  from.BindHeat(from_slot);
+  to.BindHeat(to_slot);
+  for (size_t width : {1, 2, 4}) {
+    ThreadPool width_pool(width);
+    from_slot->ResetValues();
+    to_slot->ResetValues();
+    (void)ParallelMapDictionary(from, to, &width_pool);
+    for (const auto& [slot, column] :
+         {std::pair{from_slot, &from}, std::pair{to_slot, &to}}) {
+      EXPECT_EQ(slot->counters().count(obs::ColumnOp::kScan),
+                column->num_distinct())
+          << slot->name() << " at width " << width;
+      EXPECT_EQ(slot->counters().count(obs::ColumnOp::kExtract), 0u)
+          << slot->name() << " at width " << width;
+      EXPECT_EQ(slot->counters().count(obs::ColumnOp::kLocate), 0u)
+          << slot->name() << " at width " << width;
+    }
+  }
 }
 
 // -- Snapshot reads vs concurrent merges --------------------------------------

@@ -582,6 +582,26 @@ TEST(RePair, TwelveBitGrammarIsPrefixOfSixteenBit) {
   }
 }
 
+TEST(RePair, OneParseGivesTwelveAndSixteenBitLengths) {
+  // At least one input trains past the 12-bit symbol space, so its 12-bit
+  // parse stops before the 16-bit one does.
+  bool past_twelve_bits = false;
+  for (const GoldenInput& input : GoldenInputs()) {
+    const auto rp12 = RePairCodec::Train(12, Views(input.strings));
+    const auto rp16 = RePairCodec::Train(16, Views(input.strings));
+    past_twelve_bits |= rp16->num_rules() > RePairCodec::kTwelveBitRules;
+    for (const std::string& s : input.strings) {
+      BitWriter writer;
+      const uint64_t bits12 = rp12->Encode(s, &writer);
+      const uint64_t bits16 = rp16->Encode(s, &writer);
+      EXPECT_EQ(rp16->EncodedBitsAt12And16(s),
+                std::make_pair(bits12, bits16))
+          << input.name << " \"" << s << "\"";
+    }
+  }
+  EXPECT_TRUE(past_twelve_bits);
+}
+
 std::unique_ptr<StringCodec> DeserializeRePair16(
     const std::vector<uint32_t>& packed_rules) {
   std::vector<uint8_t> bytes;
